@@ -172,16 +172,15 @@ def run_verification(spec, cfg, samples=100, seed=42, tol=1e-7,
     max_abs = np.abs(ric).max(axis=(-2, -1))
     max_norm = max_abs / denom
     worst = int(np.argmax(max_norm))
-    sig = int(assembly.signature_values(comp)[0])
+    sigs = assembly.signature_values(comp)
+    sig = int(sigs[0])
 
     oracle_entry = None
     if oracle:
-        diffs = []
-        for k in range(min(ORACLE_POINTS, x.size)):
-            fd = curvature.ricci_fd(_metric_field(spec, cfg), (x[k], y[k]), ORACLE_STEP)
-            diffs.append(np.abs(fd - ric[k]).max())
-        oracle_entry = {"step": ORACLE_STEP, "points": len(diffs),
-                        "max_abs_difference": float(max(diffs))}
+        k = min(ORACLE_POINTS, x.size)
+        fd = curvature.ricci_fd(_metric_field(spec, cfg), (x[:k], y[:k]), ORACLE_STEP)
+        oracle_entry = {"step": ORACLE_STEP, "points": k,
+                        "max_abs_difference": float(np.abs(fd - ric[:k]).max())}
 
     ricci_pass = bool(max_norm[worst] < tol)
     report = {
@@ -200,7 +199,7 @@ def run_verification(spec, cfg, samples=100, seed=42, tol=1e-7,
                   "worst_point": [float(x[worst]), float(y[worst])]},
         "signature": sig,
         "oracle": oracle_entry,
-        "pass": bool(checks_pass and ricci_pass),
+        "pass": bool(checks_pass and ricci_pass and np.all(sigs == sig)),
         "wall_time_ms": int(round((time.monotonic() - t0) * 1000.0)),
     }
     return report
@@ -208,8 +207,8 @@ def run_verification(spec, cfg, samples=100, seed=42, tol=1e-7,
 
 def _metric_field(spec, cfg):
     def field(px, py):
-        fr = geometry2d.SurfaceFrame(spec, np.atleast_1d(px), np.atleast_1d(py))
-        return assembly.assemble_arrays(fr, cfg)[0][0]
+        fr = geometry2d.SurfaceFrame(spec, np.ravel(px), np.ravel(py))
+        return assembly.assemble_arrays(fr, cfg)[0].reshape(np.shape(px) + (cfg.dim, cfg.dim))
     return field
 
 
@@ -279,6 +278,10 @@ def cmd_verify(args) -> int:
     samples = _resolved(args, config, "samples", int, 100)
     seed = _resolved(args, config, "seed", int, 42)
     tol = _resolved(args, config, "tol", float, 1e-7)
+    if samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {samples}")
+    if not 0.0 < tol < np.inf:
+        raise UsageError(f"--tol must be a positive finite number, got {tol!r}")
 
     if (surface is None) == (grid is None):
         raise UsageError("exactly one of --surface or --grid is required")
@@ -465,7 +468,8 @@ def build_parser():
     s.add_argument("--boundary", required=True, help="scherk | linear:a,b,c | file:PATH")
     s.add_argument("--ambient", default="1,1,0,1", help="k1,k2,k0,eps (default Euclidean)")
     s.add_argument("--grid", default="65,65", help="NX,NY (default 65,65)")
-    s.add_argument("--domain", default="-1,1,-1,1", help="x0,x1,y0,y1 (default unit square)")
+    s.add_argument("--domain", default="-1,1,-1,1",
+                   help="x0,x1,y0,y1 (default unit square); write --domain=-1,1,-1,1 when x0 is negative")
     s.add_argument("--tol", type=float, default=1e-10)
     s.add_argument("--max-iter", dest="max_iter", type=int, default=25)
     s.add_argument("--out", required=True, help="output solution path")

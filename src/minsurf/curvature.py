@@ -7,6 +7,17 @@ Index conventions: R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
 + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}, Ricci contracted on
 the first and third slots.  The round sphere then has positive scalar
 curvature (2/a^2), which the test suite pins.
+
+Only x^1 and x^2 carry derivatives, so the derivative index of d g^{-1},
+d S and d Gamma runs over those two live directions, giving shapes
+(..., 2, dim, dim, dim): the term d_a Gamma^a_{db} sums over a < 2 and
+-d_d Gamma^a_{ab} fills only the columns d < 2.  S itself still needs
+d g in all dim directions, the dead ones zero, because its derivative
+index is contracted with metric indices.  ricci_arrays works through a
+batch in blocks of RICCI_BLOCK points, so its temporaries do not grow
+with the batch.  Both choices leave every result bit for bit the same:
+the plain einsum calls keep their subscripts and summation order, and
+tests/test_curvature.py compares against the padded reference engine.
 """
 
 from __future__ import annotations
@@ -45,19 +56,16 @@ class CurvatureReport:
     point: tuple
 
 
-def _pad1(comp, d1):
-    """Embed the two x-direction first derivatives into a full-dim array."""
-    dim = comp.shape[-1]
-    dfull = np.zeros(comp.shape[:-2] + (dim, dim, dim))
-    dfull[..., :2, :, :] = d1
-    return dfull
+#: points per block of the batched Ricci computation; bounds its peak memory
+RICCI_BLOCK = 512
 
 
-def _pad2(comp, d2):
-    dim = comp.shape[-1]
-    d2full = np.zeros(comp.shape[:-2] + (dim, dim, dim, dim))
-    d2full[..., :2, :2, :, :] = d2
-    return d2full
+def _pad(d):
+    """Embed derivatives along x^1, x^2 (axis -3) into all dim directions."""
+    dim = d.shape[-1]
+    full = np.zeros(d.shape[:-3] + (dim, dim, dim))
+    full[..., :2, :, :] = d
+    return full
 
 
 def _inverse(comp):
@@ -67,32 +75,39 @@ def _inverse(comp):
     return np.linalg.inv(comp)
 
 
+def _christoffel(gi, dfull):
+    """(S, Gamma) with S_{dbc} = d_b g_{dc} + d_c g_{db} - d_d g_{bc} and
+    Gamma^a_{bc} = 1/2 g^{ad} S_{dbc}."""
+    S = (np.einsum("...bdc->...dbc", dfull) + np.einsum("...cdb->...dbc", dfull) - dfull)
+    return S, 0.5 * np.einsum("...ad,...dbc->...abc", gi, S)
+
+
 def christoffel_arrays(comp, d1):
     """Batched Gamma^a_{bc} = 1/2 g^{ad} (d_b g_{dc} + d_c g_{db} - d_d g_{bc})."""
+    return _christoffel(_inverse(comp), _pad(d1))[1]
+
+
+def _ricci_block(comp, d1, d2):
+    """ricci_arrays on one block of points."""
     gi = _inverse(comp)
-    dfull = _pad1(comp, d1)
-    S = (np.einsum("...bdc->...dbc", dfull) + np.einsum("...cdb->...dbc", dfull) - dfull)
-    return 0.5 * np.einsum("...ad,...dbc->...abc", gi, S)
-
-
-def ricci_arrays(comp, d1, d2):
-    """Batched Ricci computation.
-
-    Returns (gamma, ricci, scalar, denom) where denom is the conditioning
-    scale 1 + max|d2 g| + max|Gamma|^2 used for normalized residuals.
-    """
-    gi = _inverse(comp)
-    dfull, d2full = _pad1(comp, d1), _pad2(comp, d2)
-    S = (np.einsum("...bdc->...dbc", dfull) + np.einsum("...cdb->...dbc", dfull) - dfull)
-    gamma = 0.5 * np.einsum("...ad,...dbc->...abc", gi, S)
-    dgi = -np.einsum("...ab,...ebc,...cd->...ead", gi, dfull, gi)
+    dfull = _pad(d1)
+    S, gamma = _christoffel(gi, dfull)
+    # the derivative index e of dgi, dS and dgamma runs over x^1, x^2 only
+    dgi = -np.einsum("...ab,...ebc,...cd->...ead", gi, dfull[..., :2, :, :], gi)
+    d2full = _pad(d2)  # d_e d_f g with f over all dim directions
     dS = (np.einsum("...ebdc->...edbc", d2full) + np.einsum("...ecdb->...edbc", d2full) - d2full)
     dgamma = 0.5 * (np.einsum("...ead,...dbc->...eabc", dgi, S)
                     + np.einsum("...ad,...edbc->...eabc", gi, dS))
     # R_{bd} = d_a Gamma^a_{db} - d_d Gamma^a_{ab} + Gamma^a_{ae} Gamma^e_{db}
-    #          - Gamma^a_{de} Gamma^e_{ab}
-    ricci = (np.einsum("...iidb->...bd", dgamma)
-             - np.einsum("...diib->...bd", dgamma)
+    #          - Gamma^a_{de} Gamma^e_{ab}; d_a vanishes for a >= 2, so the
+    # first term sums over a < 2 and the second fills the columns d < 2
+    div_a = np.einsum("...iidb->...bd", dgamma[..., :2, :, :])
+    # zeros_like keeps div_a's memory layout, on which the summation
+    # order of the scalar's einsum, and so its last bits, depend
+    div_d = np.zeros_like(div_a)
+    div_d[..., :2] = np.einsum("...diib->...bd", dgamma)
+    ricci = (div_a
+             - div_d
              + np.einsum("...iie,...edb->...bd", gamma, gamma)
              - np.einsum("...ide,...eib->...bd", gamma, gamma))
     scalar = np.einsum("...bd,...bd->...", gi, ricci)
@@ -100,6 +115,26 @@ def ricci_arrays(comp, d1, d2):
     denom = (1.0 + np.abs(d2).max(axis=batch_axes[0])
              + np.abs(gamma).max(axis=batch_axes[1]) ** 2)
     return gamma, ricci, scalar, denom
+
+
+def ricci_arrays(comp, d1, d2):
+    """Batched Ricci computation over any leading batch shape.
+
+    comp is (..., dim, dim), d1 (..., 2, dim, dim) and d2 (..., 2, 2, dim, dim).
+    Returns (gamma, ricci, scalar, denom) where denom is the conditioning
+    scale 1 + max|d2 g| + max|Gamma|^2 used for normalized residuals.
+    """
+    lead, dim = comp.shape[:-2], comp.shape[-1]
+    comp = comp.reshape((-1, dim, dim))
+    d1 = d1.reshape((-1, 2, dim, dim))
+    d2 = d2.reshape((-1, 2, 2, dim, dim))
+    P = comp.shape[0]
+    gamma, ricci = np.empty((P, dim, dim, dim)), np.empty((P, dim, dim))
+    scalar, denom = np.empty(P), np.empty(P)
+    for start in range(0, P, RICCI_BLOCK):
+        blk = slice(start, start + RICCI_BLOCK)
+        gamma[blk], ricci[blk], scalar[blk], denom[blk] = _ricci_block(comp[blk], d1[blk], d2[blk])
+    return tuple(a.reshape(lead + a.shape[1:]) for a in (gamma, ricci, scalar, denom))
 
 
 def christoffel(m: MetricJet) -> np.ndarray:
@@ -157,21 +192,21 @@ def ricci_fd(metric_field, p, step: float) -> np.ndarray:
     """Independent Ricci oracle: second-order central differences of the
     metric components, fed through the same tensor algebra.
 
-    ``metric_field(x, y)`` must return the (dim, dim) component matrix; the
-    metric may depend on the first two coordinates only.
+    ``p = (x, y)`` holds scalars or equal-shape coordinate arrays, and
+    ``metric_field(x, y)`` must return the component matrices with shape
+    ``shape(x) + (dim, dim)``; the metric may depend on the first two
+    coordinates only.  The field is evaluated once per stencil offset.
     """
     x, y = p
     s = float(step)
-
-    def m(dx=0.0, dy=0.0):
-        return np.asarray(metric_field(x + dx, y + dy), dtype=float)
-
-    g0 = m()
-    dim = g0.shape[0]
-    d1 = np.stack([(m(dx=s) - m(dx=-s)) / (2 * s), (m(dy=s) - m(dy=-s)) / (2 * s)])
-    dxx = (m(dx=s) - 2 * g0 + m(dx=-s)) / s ** 2
-    dyy = (m(dy=s) - 2 * g0 + m(dy=-s)) / s ** 2
-    dxy = (m(s, s) - m(s, -s) - m(-s, s) + m(-s, -s)) / (4 * s ** 2)
-    d2 = np.array([[dxx, dxy], [dxy, dyy]])
+    g = {(dx, dy): np.asarray(metric_field(x + dx, y + dy), dtype=float)
+         for dx in (-s, 0.0, s) for dy in (-s, 0.0, s)}
+    g0 = g[0.0, 0.0]
+    d1 = np.stack([(g[s, 0.0] - g[-s, 0.0]) / (2 * s),
+                   (g[0.0, s] - g[0.0, -s]) / (2 * s)], axis=-3)
+    dxx = (g[s, 0.0] - 2 * g0 + g[-s, 0.0]) / s ** 2
+    dyy = (g[0.0, s] - 2 * g0 + g[0.0, -s]) / s ** 2
+    dxy = (g[s, s] - g[s, -s] - g[-s, s] + g[-s, -s]) / (4 * s ** 2)
+    d2 = np.stack([np.stack([dxx, dxy], axis=-3), np.stack([dxy, dyy], axis=-3)], axis=-4)
     _, ric, _, _ = ricci_arrays(g0, d1, d2)
     return ric

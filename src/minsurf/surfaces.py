@@ -10,6 +10,9 @@ exactly.
 
 from __future__ import annotations
 
+import functools
+import inspect
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -174,16 +177,29 @@ _FACTORIES = {
     "helicoid": helicoid,
     "catenoid": catenoid,
     "bi_wave": bi_wave,
-    "bi_wave_minus": lambda **kw: bi_wave(direction=-1, **kw),
+    "bi_wave_minus": functools.partial(bi_wave, direction=-1),
     "nonminimal_x2": nonminimal_x2,
 }
 
 
 def get(name: str, params: dict | None = None) -> SurfaceSpec:
-    """Look up a catalog surface by name, with optional factory parameters."""
+    """Look up a catalog surface by name, with optional factory parameters.
+
+    A parameter must be one the factory takes, and a finite number where
+    the factory's default is a number; anything else raises ValueError.
+    """
     if name not in _FACTORIES:
         raise ValueError(f"unknown surface {name!r} (have: {', '.join(sorted(_FACTORIES))})")
-    return _FACTORIES[name](**(params or {}))
+    factory, params = _FACTORIES[name], params or {}
+    defaults = {k: p.default for k, p in inspect.signature(factory).parameters.items()}
+    for key, val in params.items():
+        if key not in defaults:
+            have = ", ".join(defaults) or "none"
+            raise ValueError(f"surface {name!r} has no parameter {key!r} (have: {have})")
+        numeric = isinstance(val, (int, float)) and math.isfinite(val)
+        if isinstance(defaults[key], (int, float)) and not numeric:
+            raise ValueError(f"parameter {key!r} of surface {name!r} must be a finite number, got {val!r}")
+    return factory(**params)
 
 
 def _as_batch(p):

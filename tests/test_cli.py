@@ -60,6 +60,46 @@ def test_verify_flag_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--samples", "-3"),
+                                        ("--tol", "nan"), ("--tol", "inf"),
+                                        ("--tol", "0"), ("--tol", "-1e-7")])
+def test_verify_bad_numeric_flag_exit2(capsys, flag, value):
+    code, out, err = run(capsys, "verify", "--surface", "plane", f"{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and flag in err
+
+
+@pytest.mark.parametrize("param,name", [("bogus=1", "bogus"), ("a=foo", "a"), ("a=nan", "a")])
+def test_verify_bad_param_exit2(capsys, param, name):
+    code, out, err = run(capsys, "verify", "--surface", "plane", "--param", param)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and repr(name) in err
+
+
+def test_verify_string_param(capsys):
+    code, rep, _ = verify_report(capsys, "--surface", "bi_wave", "--param", "profile=linear",
+                                 "--samples", "5")
+    assert code == 0 and rep["pass"]
+
+
+def test_verify_fails_when_signature_varies(capsys, monkeypatch):
+    from minsurf import assembly
+    real = assembly.signature_values
+
+    def varying(comp):
+        sig = real(comp).copy()
+        sig[-1] = -sig[-1]
+        return sig
+
+    monkeypatch.setattr(assembly, "signature_values", varying)
+    code, rep, _ = verify_report(capsys, "--surface", "plane", "--samples", "5")
+    assert code == 1
+    assert rep["pass"] is False
+    assert rep["signature"] == 4  # still point 0's
+
+
 def test_verify_report_schema(capsys):
     _, rep, _ = verify_report(capsys, "--surface", "plane", "--samples", "10")
     assert list(rep.keys()) == REPORT_KEYS

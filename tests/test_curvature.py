@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minsurf import assembly, curvature, geometry2d, surfaces
+from minsurf import assembly, cli, curvature, geometry2d, surfaces
 from minsurf.curvature import (MetricJet, SingularMetric, christoffel, flat_metric,
                                polar_metric, ricci, ricci_fd, sphere_metric)
 
@@ -113,3 +113,101 @@ def test_singular_metric_raises():
     bad = MetricJet(2, np.zeros((2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2, 2, 2)))
     with pytest.raises(SingularMetric):
         ricci(bad)
+
+
+# ---------------------------------------------------------------------------
+# byte identity of the live-index, blocked engine
+# ---------------------------------------------------------------------------
+
+def padded_ricci(comp, d1, d2):
+    """Reference engine: d g and d^2 g padded out to all dim derivative
+    directions, (..., dim, dim, dim, dim) intermediates, one pass over the
+    whole batch.  ricci_arrays must reproduce it bit for bit."""
+    dim = comp.shape[-1]
+    gi = np.linalg.inv(comp)
+    dfull = np.zeros(comp.shape[:-2] + (dim, dim, dim))
+    dfull[..., :2, :, :] = d1
+    d2full = np.zeros(comp.shape[:-2] + (dim, dim, dim, dim))
+    d2full[..., :2, :2, :, :] = d2
+    S = (np.einsum("...bdc->...dbc", dfull) + np.einsum("...cdb->...dbc", dfull) - dfull)
+    gamma = 0.5 * np.einsum("...ad,...dbc->...abc", gi, S)
+    dgi = -np.einsum("...ab,...ebc,...cd->...ead", gi, dfull, gi)
+    dS = (np.einsum("...ebdc->...edbc", d2full) + np.einsum("...ecdb->...edbc", d2full) - d2full)
+    dgamma = 0.5 * (np.einsum("...ead,...dbc->...eabc", dgi, S)
+                    + np.einsum("...ad,...edbc->...eabc", gi, dS))
+    ric = (np.einsum("...iidb->...bd", dgamma)
+           - np.einsum("...diib->...bd", dgamma)
+           + np.einsum("...iie,...edb->...bd", gamma, gamma)
+           - np.einsum("...ide,...eib->...bd", gamma, gamma))
+    scalar = np.einsum("...bd,...bd->...", gi, ric)
+    denom = (1.0 + np.abs(d2).max(axis=(-4, -3, -2, -1))
+             + np.abs(gamma).max(axis=(-3, -2, -1)) ** 2)
+    return gamma, ric, scalar, denom
+
+
+def assert_bits_equal(got, want):
+    for a, b in zip(got, want):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def sampled_frame(name, cfg, samples, seed=7):
+    spec = surfaces.get(name)
+    x, y, _, _ = cli.draw_points(spec, cfg, samples, seed)
+    return geometry2d.SurfaceFrame(spec, x, y)
+
+
+MIXED_CONFIGS = [
+    ("scherk", assembly.AssemblyConfig(1, (-1,), 0.0, 0.0, 0.0)),
+    ("catenoid", assembly.AssemblyConfig(2, (1, -1), 0.3, 1.0, 0.25)),
+    ("bi_wave", assembly.AssemblyConfig(2, (-1, 1), 0.0, 0.5, 0.0)),
+    ("scherk", assembly.AssemblyConfig(3, (1, -1, 1), 0.3, 1.0, 0.5)),
+    ("nonminimal_x2", assembly.AssemblyConfig(3, (-1, -1, 1), 0.1, 0.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("name,cfg", MIXED_CONFIGS)
+def test_ricci_arrays_bits_match_padded_reference(name, cfg):
+    fr = sampled_frame(name, cfg, 40)
+    comp, d1, d2 = assembly.assemble_arrays(fr, cfg)
+    want = padded_ricci(comp, d1, d2)
+    assert_bits_equal(curvature.ricci_arrays(comp, d1, d2), want)
+    assert_bits_equal([curvature.christoffel_arrays(comp, d1)], want[:1])
+    assert_bits_equal(curvature.ricci_arrays(comp[3], d1[3], d2[3]),
+                      padded_ricci(comp[3], d1[3], d2[3]))
+    # the dim-2 conformal call of the identity suite
+    g = geometry2d.matrix_jets_to_arrays(fr.g)
+    assert_bits_equal(curvature.ricci_arrays(*g), padded_ricci(*g))
+
+
+def test_blocked_ricci_equals_one_block(monkeypatch):
+    cfg = assembly.AssemblyConfig(2, (1, -1), 0.3, 1.0, 0.25)
+    block = curvature.RICCI_BLOCK
+    fr = sampled_frame("scherk", cfg, 3 * block - 7)
+    comp, d1, d2 = assembly.assemble_arrays(fr, cfg)
+    for P in (1, block, block + 1, 3 * block - 7):
+        blocked = curvature.ricci_arrays(comp[:P], d1[:P], d2[:P])
+        with monkeypatch.context() as m:
+            m.setattr(curvature, "RICCI_BLOCK", P)
+            assert_bits_equal(blocked, curvature.ricci_arrays(comp[:P], d1[:P], d2[:P]))
+
+
+def test_batched_ricci_fd_equals_pointwise_loop():
+    spec = surfaces.scherk()
+    cfg = assembly.AssemblyConfig(3, (1, -1, 1), 0.3, 1.0, 0.5)
+    x, y, _, _ = cli.draw_points(spec, cfg, 10, seed=11)
+    field = cli._metric_field(spec, cfg)
+    calls = []
+
+    def counted(px, py):
+        calls.append(np.shape(px))
+        return field(px, py)
+
+    batched = ricci_fd(counted, (x, y), cli.ORACLE_STEP)
+    assert calls == [(10,)] * 9  # one evaluation per stencil offset
+    loop = [ricci_fd(field, (x[k], y[k]), cli.ORACLE_STEP) for k in range(x.size)]
+    assert_bits_equal([batched], [np.array(loop)])
+    grid = ricci_fd(field, (x.reshape(2, 5), y.reshape(2, 5)), cli.ORACLE_STEP)
+    assert_bits_equal([grid], [batched.reshape(2, 5, cfg.dim, cfg.dim)])
