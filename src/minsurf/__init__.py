@@ -4,12 +4,11 @@ verification of the construction and of every supporting identity."""
 from .assembly import AssemblyConfig, assemble, conformal_factor, signature
 from .curvature import CurvatureReport, MetricJet, SingularMetric, christoffel, ricci, ricci_fd
 from .geometry2d import (CheckConstants, CheckResult, TwoMetricSample, check_identities,
-                         gaussian_K, laplace_beltrami, ricci_two, sample)
+                         gaussian_K, laplace_beltrami, mean_curvature, ricci_two, sample)
 from .jets import DomainError, Jet3
 from .solver import (GridSolution, NoConvergence, SingularJacobian, TooCloseToBoundary,
                      grid_jets, load_solution, save_solution, solve_minimal)
-from .surfaces import (AmbientMetric, InadmissiblePoint, SurfaceSpec, catalog,
-                       mean_curvature, minimal_residual)
+from .surfaces import AmbientMetric, InadmissiblePoint, SurfaceSpec, catalog, minimal_residual
 
 __version__ = "0.1.0"
 

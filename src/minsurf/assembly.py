@@ -19,7 +19,7 @@ import numpy as np
 from . import jets
 from .curvature import MetricJet, SingularMetric
 from .geometry2d import SurfaceFrame, TwoMetricSample, _frame_at, matrix_jets_to_arrays
-from .jets import DomainError
+from .jets import DomainError, Jet3
 from .surfaces import SurfaceSpec
 
 #: eigenvalues closer to zero than this are treated as singular
@@ -70,23 +70,10 @@ def _is_integer(p: float) -> bool:
     return abs(p - round(p)) < 1e-12
 
 
-def _pow_real(base, p):
-    """Float power with the same domain rules as the jet version."""
-    base = np.asarray(base, dtype=float)
-    if _is_integer(p):
-        if round(p) < 0 and np.any(base == 0.0):
-            raise DomainError("negative integer power of zero")
-        return np.power(base, float(round(p)))
-    if np.any(base <= 0.0):
-        raise DomainError("fractional power of a non-positive base")
-    return np.power(base, p)
-
-
 def conformal_factor(sample: TwoMetricSample, cfg: AssemblyConfig, phi_value: float) -> float:
     """e^{2 Phi} from an already-computed 2-surface sample."""
-    ew1, ew2, erho = cfg.exponents
-    out = np.exp(2.0 * cfg.e0 * phi_value)
-    out = out * _pow_real(sample.w1, ew1) * _pow_real(sample.w2, ew2) * _pow_real(sample.rho, erho)
+    w1, w2, rho, phi = (Jet3.constant(v) for v in (sample.w1, sample.w2, sample.rho, phi_value))
+    out = _conformal_jet(w1, w2, rho, phi, cfg).value
     if not np.all(np.isfinite(out)):
         raise DomainError("conformal factor is not finite")
     return float(out)
@@ -103,10 +90,14 @@ def log_domain_ok(rho, w1, w2, cfg: AssemblyConfig):
 
 
 def conformal_factor_jet(fr: SurfaceFrame, cfg: AssemblyConfig):
+    return _conformal_jet(fr.w[0], fr.w[1], fr.rho, fr.phi, cfg)
+
+
+def _conformal_jet(w1, w2, rho, phi, cfg: AssemblyConfig):
     ew1, ew2, erho = cfg.exponents
-    out = jets.powr(fr.w[0], ew1) * jets.powr(fr.w[1], ew2) * jets.powr(fr.rho, erho)
+    out = jets.powr(w1, ew1) * jets.powr(w2, ew2) * jets.powr(rho, erho)
     if cfg.e0 != 0.0:
-        out = out * jets.exp((2.0 * cfg.e0) * fr.phi)
+        out = out * jets.exp((2.0 * cfg.e0) * phi)
     return out
 
 

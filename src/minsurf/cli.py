@@ -14,6 +14,7 @@ for the wall_time_ms field.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 
@@ -93,11 +94,11 @@ def _classify_chunk(spec, cfg, cx, cy):
         # jets are only evaluated on admissible candidates (the predicate
         # fences off the evaluators' own singularities)
         f = spec.phi_jet(cx[idx], cy[idx])
-        rho = surfaces.rho_from_jet(f, spec.ambient)
+        px, py = f.partial(1, 0), f.partial(0, 1)
+        rho = spec.ambient.rho(px, py)
         bad_rho = rho <= 0.0
         reasons[idx[bad_rho]] = "RHO_NONPOSITIVE"
-        w1 = spec.ambient.k1 + spec.ambient.eps * f.partial(1, 0) ** 2
-        w2 = spec.ambient.k2 + spec.ambient.eps * f.partial(0, 1) ** 2
+        w1, w2 = spec.ambient.weights(px, py)
         bad_log = ~bad_rho & ~assembly.log_domain_ok(rho, w1, w2, cfg)
         reasons[idx[bad_log]] = "LOG_DOMAIN"
     return reasons
@@ -290,38 +291,35 @@ def cmd_verify(args) -> int:
     if surface is not None:
         spec = surfaces.get(surface, _parse_params(args.param))
     else:
-        try:
-            spec = solver.as_surface(solver.load_solution(grid), name=f"grid:{grid}")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+        spec = solver.as_surface(solver.load_solution(grid), name=f"grid:{grid}")
 
     report = run_verification(spec, cfg, samples=samples, seed=seed, tol=tol,
                               oracle=args.oracle)
-    text = dumps(report)
-    print(text)
-    if args.json:
-        try:
-            with open(args.json, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+    _emit(dumps(report), args.json)
     return 0 if report["pass"] else 1
 
 
+def _emit(text, json_path):
+    """Print a report and, with --json, also write it to that path."""
+    print(text)
+    if json_path:
+        with open(json_path, "w") as fh:
+            fh.write(text + "\n")
+
+
 def _parse_boundary(text):
-    if text == "scherk":
-        return lambda x, y: np.log(np.cos(np.asarray(y, dtype=float))) - np.log(np.cos(np.asarray(x, dtype=float))), None
+    """(Dirichlet data, None) for a catalog name or linear:a,b,c; (None, path) for file:PATH."""
+    if text.startswith("file:"):
+        return None, text[len("file:"):]
     if text.startswith("linear:"):
         try:
             a, b, c = (float(t) for t in text[len("linear:"):].split(","))
         except ValueError:
             raise UsageError(f"bad linear boundary {text!r}")
-        return lambda x, y: a * np.asarray(x, dtype=float) + b * np.asarray(y, dtype=float) + c, None
-    if text.startswith("file:"):
-        return None, text[len("file:"):]
-    raise UsageError(f"unknown boundary {text!r}")
+        spec = surfaces.plane(a, b, c)
+    else:
+        spec = surfaces.get(text)
+    return (lambda x, y: spec.phi_jet(x, y).value), None
 
 
 def cmd_solve(args) -> int:
@@ -337,11 +335,7 @@ def cmd_solve(args) -> int:
 
     boundary, boundary_file = _parse_boundary(args.boundary)
     if boundary_file is not None:
-        try:
-            ref = solver.load_solution(boundary_file)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+        ref = solver.load_solution(boundary_file)
         if (ref.nx, ref.ny) != (nx, ny):
             raise UsageError(f"boundary file grid {ref.nx}x{ref.ny} != requested {nx}x{ny}")
         domain = (*ref.x_range, *ref.y_range)
@@ -365,11 +359,7 @@ def cmd_solve(args) -> int:
         return 1
     for i, res in enumerate(sol.residual_history):
         print(dumps({"iteration": i, "residual": res}))
-    try:
-        solver.save_solution(sol, args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    solver.save_solution(sol, args.out)
     return exit_code
 
 
@@ -429,15 +419,7 @@ def cmd_curvature(args) -> int:
         "max_abs_ricci": rep.max_abs_ricci,
         "normalized_ricci": rep.normalized_ricci,
     }
-    text = dumps(report)
-    print(text)
-    if args.json:
-        try:
-            with open(args.json, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+    _emit(dumps(report), args.json)
     return 0
 
 
@@ -465,11 +447,11 @@ def build_parser():
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("solve", help="solve a minimal-surface Dirichlet problem")
-    s.add_argument("--boundary", required=True, help="scherk | linear:a,b,c | file:PATH")
+    s.add_argument("--boundary", required=True,
+                   help="catalog surface NAME | linear:a,b,c | file:PATH (Dirichlet data)")
     s.add_argument("--ambient", default="1,1,0,1", help="k1,k2,k0,eps (default Euclidean)")
     s.add_argument("--grid", default="65,65", help="NX,NY (default 65,65)")
-    s.add_argument("--domain", default="-1,1,-1,1",
-                   help="x0,x1,y0,y1 (default unit square); write --domain=-1,1,-1,1 when x0 is negative")
+    s.add_argument("--domain", default="-1,1,-1,1", help="x0,x1,y0,y1 (default unit square)")
     s.add_argument("--tol", type=float, default=1e-10)
     s.add_argument("--max-iter", dest="max_iter", type=int, default=25)
     s.add_argument("--out", required=True, help="output solution path")
@@ -484,9 +466,29 @@ def build_parser():
     return parser
 
 
+#: a token that argparse would take for an option although it is a number
+_NEGATIVE_VALUE = re.compile(r"^-\.?\d")
+
+
+def _normalize_argv(argv):
+    """Join a value that starts like a negative number onto the --flag before it.
+
+    argparse reads a separate ``-1,1`` as an option; ``--flag=-1,1`` is not
+    ambiguous.  No minsurf option is spelled like a number.
+    """
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if _NEGATIVE_VALUE.match(tok) and prev.startswith("--") and len(prev) > 2 and "=" not in prev:
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_normalize_argv(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (UsageError, ValueError) as exc:

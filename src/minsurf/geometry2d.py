@@ -14,6 +14,11 @@ finite-difference oracle lives in the tests.
 Residuals are reported raw and normalized by the largest magnitude among
 the terms that enter them (floored at 1); pass/fail decisions use the
 normalized value so that steep surface regions keep a meaningful scale.
+
+Checks that take logarithms of w1, w2 or xi1, xi2 are masked rather than
+split: they run over the whole batch, with each invalid log base replaced
+by 1, and report NaN (invalid) at the points where a base is not positive.
+No sub-frame is ever built.
 """
 
 from __future__ import annotations
@@ -25,13 +30,7 @@ import numpy as np
 from . import jets
 from .curvature import SingularMetric, ricci_arrays
 from .jets import DomainError, Jet3, deriv
-from .surfaces import InadmissiblePoint, SurfaceSpec, _as_batch, rho_from_jet
-
-# Maps the engine's scalar curvature to the 2-surface convention used by
-# the identity suite.  Calibrated once against condition (2) on curved
-# catalog surfaces (see test_geometry): the engine convention already
-# matches, so the factor is unity.
-CURVATURE_CONVENTION_FACTOR = 1.0
+from .surfaces import SurfaceSpec, _as_batch, _require_admissible
 
 #: names of every identity check, in reporting order
 CHECK_NAMES = ("P1", "C1", "C2a", "C2b", "P2a", "P2b", "P3a", "P3b", "P3c",
@@ -102,25 +101,18 @@ class SurfaceFrame:
         self.rho = 1.0 + amb.eps * (self.up[0] * self.p[0] + self.up[1] * self.p[1])
         if np.any(self.rho.value <= 0.0):
             raise DomainError("rho <= 0 in SurfaceFrame")
+        self.log_rho = jets.log(self.rho)
         self.sr = jets.sqrt(self.rho)
         self.h = [[self.g0[m, n] + amb.eps * self.p[m] * self.p[n] for n in range(2)] for m in range(2)]
         self.h_inv = [[gi[m, n] - (amb.eps / self.rho) * self.up[m] * self.up[n] for n in range(2)] for m in range(2)]
         inv_sr = jets.powr(self.sr, -1)
         self.g = [[self.h[m][n] * inv_sr for n in range(2)] for m in range(2)]
-        det_g = self.g[0][0] * self.g[1][1] - self.g[0][1] * self.g[0][1]
-        inv_det = jets.powr(det_g, -1)
-        self.g_inv = [[self.g[1][1] * inv_det, -self.g[0][1] * inv_det],
-                      [-self.g[0][1] * inv_det, self.g[0][0] * inv_det]]
-        self.w = [amb.g0[0, 0] + amb.eps * self.p[0] * self.p[0],
-                  amb.g0[1, 1] + amb.eps * self.p[1] * self.p[1]]
+        self.g_inv = _inverse(self.g)[1]
+        self.w = amb.weights(self.p[0], self.p[1])
         self.xi = [self.g_inv[0][0], self.g_inv[1][1]]
-        self.psi0 = -0.25 * jets.log(self.rho)
+        self.psi0 = -0.25 * self.log_rho
 
     # -- plain-array views ----------------------------------------------
-
-    @property
-    def npoints(self):
-        return self.x.shape[0] if self.x.ndim else 1
 
     def hessian(self):
         """phi_{,mu nu} values, shape (P, 2, 2)."""
@@ -129,8 +121,7 @@ class SurfaceFrame:
                          np.stack([f.partial(1, 1), f.partial(0, 2)], axis=-1)], axis=-2)
 
     def matrix_values(self, m):
-        return np.stack([np.stack([m[0][0].value, m[0][1].value], axis=-1),
-                         np.stack([m[1][0].value, m[1][1].value], axis=-1)], axis=-2)
+        return _grab(m, 0, 0)
 
     def curvature_quantities(self):
         """(lambda0, K, H, r, lap_h_phi) as plain arrays."""
@@ -154,43 +145,32 @@ class SurfaceFrame:
         """Ricci tensor and scalar of g from the generic curvature engine."""
         comp, d1, d2 = matrix_jets_to_arrays(self.g)
         _, ric, scal, _ = ricci_arrays(comp, d1, d2)
-        return CURVATURE_CONVENTION_FACTOR * ric, CURVATURE_CONVENTION_FACTOR * scal
-
-    def take(self, idx):
-        sub = SurfaceFrame.__new__(SurfaceFrame)
-        sub.spec = self.spec
-        sub.x, sub.y = self.x[idx], self.y[idx]
-        sub.g0, sub.g0_inv, sub.det_g0, sub.eps = self.g0, self.g0_inv, self.det_g0, self.eps
-        sub.phi = self.phi.take(idx)
-        sub.p = [j.take(idx) for j in self.p]
-        sub.up = [j.take(idx) for j in self.up]
-        sub.rho, sub.sr = self.rho.take(idx), self.sr.take(idx)
-        sub.h = _take_matrix(self.h, idx)
-        sub.h_inv = _take_matrix(self.h_inv, idx)
-        sub.g = _take_matrix(self.g, idx)
-        sub.g_inv = _take_matrix(self.g_inv, idx)
-        sub.w = [j.take(idx) for j in self.w]
-        sub.xi = [j.take(idx) for j in self.xi]
-        sub.psi0 = self.psi0.take(idx)
-        return sub
+        return ric, scal
 
 
-def _take_matrix(m, idx):
-    return [[m[a][b].take(idx) for b in range(2)] for a in range(2)]
+def _grab(m, i, j):
+    """Partial d^i_x d^j_y of a 2x2 matrix of jets, shape (..., 2, 2)."""
+    return np.stack([np.stack([m[0][0].partial(i, j), m[0][1].partial(i, j)], axis=-1),
+                     np.stack([m[1][0].partial(i, j), m[1][1].partial(i, j)], axis=-1)], axis=-2)
 
 
 def matrix_jets_to_arrays(m):
     """Convert a 2x2 matrix of jets into (comp, d1, d2) engine arrays."""
-
-    def grab(i, j):
-        return np.stack([np.stack([m[0][0].partial(i, j), m[0][1].partial(i, j)], axis=-1),
-                         np.stack([m[1][0].partial(i, j), m[1][1].partial(i, j)], axis=-1)], axis=-2)
-
-    comp = grab(0, 0)
-    d1 = np.stack([grab(1, 0), grab(0, 1)], axis=-3)
-    d2 = np.stack([np.stack([grab(2, 0), grab(1, 1)], axis=-3),
-                   np.stack([grab(1, 1), grab(0, 2)], axis=-3)], axis=-4)
+    comp = _grab(m, 0, 0)
+    d1 = np.stack([_grab(m, 1, 0), _grab(m, 0, 1)], axis=-3)
+    d2 = np.stack([np.stack([_grab(m, 2, 0), _grab(m, 1, 1)], axis=-3),
+                   np.stack([_grab(m, 1, 1), _grab(m, 0, 2)], axis=-3)], axis=-4)
     return comp, d1, d2
+
+
+def _inverse(m):
+    """(det, inverse) of a symmetric 2x2 matrix of jets."""
+    det = m[0][0] * m[1][1] - m[0][1] * m[0][1]
+    if np.any(det.value == 0.0):
+        raise SingularMetric("metric determinant vanishes")
+    inv_det = jets.powr(det, -1)
+    return det, [[m[1][1] * inv_det, -m[0][1] * inv_det],
+                 [-m[0][1] * inv_det, m[0][0] * inv_det]]
 
 
 def _laplace_terms(metric, f: Jet3):
@@ -200,14 +180,8 @@ def _laplace_terms(metric, f: Jet3):
     jet propagation.  The scale is the largest flux-derivative magnitude,
     for residual normalization.
     """
-    det = metric[0][0] * metric[1][1] - metric[0][1] * metric[0][1]
-    sign = np.sign(det.value)
-    if np.any(sign == 0.0):
-        raise SingularMetric("metric determinant vanishes")
-    s = jets.sqrt(det * sign)
-    inv_det = jets.powr(det, -1)
-    inv = [[metric[1][1] * inv_det, -metric[0][1] * inv_det],
-           [-metric[0][1] * inv_det, metric[0][0] * inv_det]]
+    det, inv = _inverse(metric)
+    s = jets.sqrt(det * np.sign(det.value))
     df = [deriv(f, 0), deriv(f, 1)]
     flux = [s * (inv[a][0] * df[0] + inv[a][1] * df[1]) for a in range(2)]
     terms = np.stack([deriv(flux[0], 0).value, deriv(flux[1], 1).value])
@@ -225,11 +199,7 @@ def laplace_beltrami(metric, f: Jet3):
 
 def _frame_at(spec: SurfaceSpec, p) -> SurfaceFrame:
     x, y = _as_batch(p)
-    ok = spec.in_domain(x, y) & spec.admissible(x, y)
-    if not np.all(ok):
-        raise InadmissiblePoint(f"point outside admissible domain of {spec.name}")
-    if np.any(rho_from_jet(spec.phi_jet(x, y), spec.ambient) <= 0.0):
-        raise DomainError("rho <= 0 at requested point")
+    _require_admissible(spec, x, y)
     return SurfaceFrame(spec, x, y)
 
 
@@ -258,6 +228,12 @@ def sample(spec: SurfaceSpec, p) -> TwoMetricSample:
 def gaussian_K(spec: SurfaceSpec, p) -> float:
     fr = _frame_at(spec, p)
     return float(fr.curvature_quantities()[1][0])
+
+
+def mean_curvature(spec: SurfaceSpec, p) -> float:
+    """H = rho^{-1/2} h^{mu nu} phi_{,mu nu}; zero exactly on minimal graphs."""
+    fr = _frame_at(spec, p)
+    return float(fr.curvature_quantities()[2][0])
 
 
 def ricci_two(spec: SurfaceSpec, p) -> np.ndarray:
@@ -303,23 +279,23 @@ class BatchCheck:
         return cls(raw, normalized, np.ones(raw.shape, dtype=bool))
 
     @classmethod
-    def sparse(cls, npoints, idx, raw, scale):
-        out_raw = np.full(npoints, np.nan)
-        out_norm = np.full(npoints, np.nan)
-        valid = np.zeros(npoints, dtype=bool)
-        out_raw[idx] = np.abs(raw)
-        out_norm[idx] = np.abs(raw) / np.maximum(1.0, scale)
-        valid[idx] = True
-        return cls(out_raw, out_norm, valid)
+    def masked(cls, raw, scale, valid):
+        """Like ``dense``, with NaN written where a point is invalid."""
+        out = cls.dense(raw, scale)
+        return cls(np.where(valid, out.raw, np.nan), np.where(valid, out.normalized, np.nan), valid)
 
 
 def _abs_max(*arrays):
     return np.max(np.stack([np.abs(np.asarray(a)) for a in arrays]), axis=0)
 
 
+def _masked_log(j: Jet3, ok) -> Jet3:
+    """log of a jet whose base is replaced by 1 wherever ``ok`` is False."""
+    return jets.log(Jet3(np.where(ok, j.c, 1.0)))
+
+
 def run_identity_checks(fr: SurfaceFrame, consts: CheckConstants) -> dict:
     """Evaluate all identity checks over the frame's point batch."""
-    P = fr.npoints
     eps, g0, g0i, D = fr.eps, fr.g0, fr.g0_inv, fr.det_g0
     rho = fr.rho.value
     sr = fr.sr.value
@@ -371,8 +347,8 @@ def run_identity_checks(fr: SurfaceFrame, consts: CheckConstants) -> dict:
     # P3a: R + (1/4) g^{ab} tr[d_a g^{-1} d_b g], the scalar condition
     # defining the admissible 2-metric class
     ginv_v = fr.matrix_values(fr.g_inv)
-    dg = np.stack([fr.matrix_values([[deriv(fr.g[m][n], e) for n in range(2)] for m in range(2)])
-                   for e in range(2)], axis=-3)
+    dgmat = [[[deriv(fr.g[i][j], e) for j in range(2)] for i in range(2)] for e in range(2)]
+    dg = np.stack([fr.matrix_values(dgmat[e]) for e in range(2)], axis=-3)
     dginv = np.stack([fr.matrix_values([[deriv(fr.g_inv[m][n], e) for n in range(2)] for m in range(2)])
                       for e in range(2)], axis=-3)
     trterm = 0.25 * np.einsum("...ab,...aij,...bji->...", ginv_v, dginv, dg)
@@ -391,7 +367,7 @@ def run_identity_checks(fr: SurfaceFrame, consts: CheckConstants) -> dict:
 
     # P4a: lap_g zeta - a0 R + a0 sqrt(rho) K, zeta = (a0/2) log rho
     a0, a1, a2, b1, b2 = consts.a0, consts.a1, consts.a2, consts.b1, consts.b2
-    zeta = (a0 / 2.0) * jets.log(fr.rho)
+    zeta = (a0 / 2.0) * fr.log_rho
     lap_zeta, lz_scale = _laplace_terms(fr.g, zeta)
     checks["P4a"] = BatchCheck.dense(lap_zeta - a0 * R + a0 * sr * K,
                                      _abs_max(lz_scale, a0 * R, a0 * sr * K))
@@ -400,39 +376,25 @@ def run_identity_checks(fr: SurfaceFrame, consts: CheckConstants) -> dict:
     # branch need w1, w2 > 0 (Lorentzian ambients can violate either).
     xi_ok = (fr.xi[0].value > 0.0) & (fr.xi[1].value > 0.0)
     w_ok = (fr.w[0].value > 0.0) & (fr.w[1].value > 0.0)
-    idx_xi = np.nonzero(xi_ok)[0]
-    idx_w = np.nonzero(w_ok)[0]
 
-    cc1_psi1 = BatchCheck.sparse(P, idx_xi, np.empty(0), np.empty(0)) if not idx_xi.size else None
-    if idx_xi.size:
-        sub = fr.take(idx_xi)
-        psi1 = a1 * jets.log(sub.xi[0]) + a2 * jets.log(sub.xi[1])
-        lap, lap_scale = _laplace_terms(sub.g, psi1)
-        checks["P4b"] = BatchCheck.sparse(P, idx_xi, lap - (a1 + a2) * R[idx_xi],
-                                          _abs_max(lap_scale, (a1 + a2) * R[idx_xi]))
-        cc1_psi1 = BatchCheck.sparse(P, idx_xi, lap + (a1 + a2) * trterm[idx_xi],
-                                     _abs_max(lap_scale, (a1 + a2) * trterm[idx_xi]))
-    else:
-        checks["P4b"] = BatchCheck.sparse(P, idx_xi, np.empty(0), np.empty(0))
+    psi1 = a1 * _masked_log(fr.xi[0], xi_ok) + a2 * _masked_log(fr.xi[1], xi_ok)
+    lap, lap_scale = _laplace_terms(fr.g, psi1)
+    checks["P4b"] = BatchCheck.masked(lap - (a1 + a2) * R, _abs_max(lap_scale, (a1 + a2) * R), xi_ok)
+    cc1_psi1 = BatchCheck.masked(lap + (a1 + a2) * trterm,
+                                 _abs_max(lap_scale, (a1 + a2) * trterm), xi_ok)
 
-    cc1_mu = BatchCheck.sparse(P, idx_w, np.empty(0), np.empty(0)) if not idx_w.size else None
-    if idx_w.size:
-        sub = fr.take(idx_w)
-        psi2 = b1 * jets.log(sub.w[0]) + b2 * jets.log(sub.w[1])
-        lap2, lap2_scale = _laplace_terms(sub.g, psi2)
-        checks["P4c"] = BatchCheck.sparse(
-            P, idx_w, lap2 - 2.0 * (b1 + b2) * R[idx_w] + (b1 + b2) * sr[idx_w] * K[idx_w],
-            _abs_max(lap2_scale, 2.0 * (b1 + b2) * R[idx_w], (b1 + b2) * sr[idx_w] * K[idx_w]))
-        # mu = (b1+b2) zeta - a0 psi2 satisfies lap_g mu = -a0 (b1+b2) R
-        mu = (b1 + b2) * (a0 / 2.0) * jets.log(sub.rho) - a0 * psi2
-        lap_mu, lap_mu_scale = _laplace_terms(sub.g, mu)
-        checks["MU"] = BatchCheck.sparse(P, idx_w, lap_mu + a0 * (b1 + b2) * R[idx_w],
-                                         _abs_max(lap_mu_scale, a0 * (b1 + b2) * R[idx_w]))
-        cc1_mu = BatchCheck.sparse(P, idx_w, lap_mu + (-a0 * (b1 + b2)) * trterm[idx_w],
-                                   _abs_max(lap_mu_scale, a0 * (b1 + b2) * trterm[idx_w]))
-    else:
-        checks["P4c"] = BatchCheck.sparse(P, idx_w, np.empty(0), np.empty(0))
-        checks["MU"] = BatchCheck.sparse(P, idx_w, np.empty(0), np.empty(0))
+    psi2 = b1 * _masked_log(fr.w[0], w_ok) + b2 * _masked_log(fr.w[1], w_ok)
+    lap2, lap2_scale = _laplace_terms(fr.g, psi2)
+    checks["P4c"] = BatchCheck.masked(
+        lap2 - 2.0 * (b1 + b2) * R + (b1 + b2) * sr * K,
+        _abs_max(lap2_scale, 2.0 * (b1 + b2) * R, (b1 + b2) * sr * K), w_ok)
+    # mu = (b1+b2) zeta - a0 psi2 satisfies lap_g mu = -a0 (b1+b2) R
+    mu = (b1 + b2) * (a0 / 2.0) * fr.log_rho - a0 * psi2
+    lap_mu, lap_mu_scale = _laplace_terms(fr.g, mu)
+    checks["MU"] = BatchCheck.masked(lap_mu + a0 * (b1 + b2) * R,
+                                     _abs_max(lap_mu_scale, a0 * (b1 + b2) * R), w_ok)
+    cc1_mu = BatchCheck.masked(lap_mu + (-a0 * (b1 + b2)) * trterm,
+                               _abs_max(lap_mu_scale, a0 * (b1 + b2) * trterm), w_ok)
 
     # CC1 holds for either sigma branch; report the worse available one
     checks["CC1"] = BatchCheck(np.fmax(cc1_psi1.raw, cc1_mu.raw),
@@ -447,19 +409,11 @@ def run_identity_checks(fr: SurfaceFrame, consts: CheckConstants) -> dict:
 
     # P5: sigma-model equation d_a [g^{ab} g^{-1} d_b g] = 0, the matrix
     # condition defining the admissible 2-metric class
-    dgmat = [[[deriv(fr.g[i][j], b) for j in range(2)] for i in range(2)] for b in range(2)]
-    raw = np.zeros(P)
-    scale = np.zeros(P)
+    raw = scale = 0.0
     for i in range(2):
         for j in range(2):
-            flux = []
-            for a in range(2):
-                acc = None
-                for b in range(2):
-                    inner = fr.g_inv[i][0] * dgmat[b][0][j] + fr.g_inv[i][1] * dgmat[b][1][j]
-                    term = fr.g_inv[a][b] * inner
-                    acc = term if acc is None else acc + term
-                flux.append(acc)
+            inner = [fr.g_inv[i][0] * dgmat[b][0][j] + fr.g_inv[i][1] * dgmat[b][1][j] for b in range(2)]
+            flux = [fr.g_inv[a][0] * inner[0] + fr.g_inv[a][1] * inner[1] for a in range(2)]
             terms = np.stack([deriv(flux[0], 0).value, deriv(flux[1], 1).value])
             raw = np.maximum(raw, np.abs(terms.sum(axis=0)))
             scale = np.maximum(scale, np.abs(terms).max(axis=0))

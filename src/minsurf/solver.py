@@ -101,16 +101,13 @@ def _interior_derivs(U, hx, hy):
 
 def _residual(U, amb, hx, hy):
     Ux, Uy, Uxx, Uyy, Uxy = _interior_derivs(U, hx, hy)
-    A = amb.k2 + amb.eps * Uy ** 2
-    B = -2.0 * (amb.k0 + amb.eps * Ux * Uy)
-    C = amb.k1 + amb.eps * Ux ** 2
+    A, B, C = amb.pde_coefficients(Ux, Uy)
     return A * Uxx + B * Uxy + C * Uyy
 
 
 def _check_rho(U, amb, hx, hy):
     Ux, Uy, _, _, _ = _interior_derivs(U, hx, hy)
-    gi = amb.g0_inv
-    rho = 1.0 + amb.eps * (gi[0, 0] * Ux ** 2 + 2 * gi[0, 1] * Ux * Uy + gi[1, 1] * Uy ** 2)
+    rho = amb.rho(Ux, Uy)
     if rho.size and ((rho.min() <= 0.0 < rho.max()) or np.abs(rho).min() < 1e-12):
         raise SingularJacobian("discrete rho changes sign (degenerate induced metric)")
 
@@ -120,9 +117,7 @@ def _jacobian(U, amb, hx, hy):
     nx, ny = U.shape
     mi, mj = nx - 2, ny - 2
     Ux, Uy, Uxx, Uyy, Uxy = _interior_derivs(U, hx, hy)
-    A = amb.k2 + amb.eps * Uy ** 2
-    B = -2.0 * (amb.k0 + amb.eps * Ux * Uy)
-    C = amb.k1 + amb.eps * Ux ** 2
+    A, B, C = amb.pde_coefficients(Ux, Uy)
     I, J = np.meshgrid(np.arange(1, nx - 1), np.arange(1, ny - 1), indexing="ij")
     rows_all = (I - 1) * mj + (J - 1)
 

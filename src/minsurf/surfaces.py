@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .jets import DomainError, Jet3
+from .jets import Jet3
 
 #: catalog domains stay this far away from every singular locus
 MARGIN = 0.1
@@ -31,7 +31,11 @@ class InadmissiblePoint(ValueError):
 
 @dataclass(frozen=True)
 class AmbientMetric:
-    """Constant flat 2-metric g0 = [[k1, k0], [k0, k2]] plus the x3 sign."""
+    """Constant flat 2-metric g0 = [[k1, k0], [k0, k2]] plus the x3 sign.
+
+    ``rho``, ``weights`` and ``pde_coefficients`` take the gradient
+    (phi_x, phi_y) as value arrays or as jets.
+    """
 
     k1: float
     k2: float
@@ -55,6 +59,21 @@ class AmbientMetric:
     @property
     def g0_inv(self) -> np.ndarray:
         return np.array([[self.k2, -self.k0], [-self.k0, self.k1]]) / self.det
+
+    def rho(self, px, py):
+        """rho = 1 + eps * g0^{mu nu} phi_mu phi_nu."""
+        gi = self.g0_inv
+        return 1.0 + self.eps * (gi[0, 0] * px ** 2 + 2.0 * gi[0, 1] * px * py + gi[1, 1] * py ** 2)
+
+    def weights(self, px, py):
+        """(w1, w2) = (k1 + eps phi_x^2, k2 + eps phi_y^2)."""
+        return self.k1 + self.eps * px * px, self.k2 + self.eps * py * py
+
+    def pde_coefficients(self, px, py):
+        """(A, B, C) = (w2, -2 (k0 + eps phi_x phi_y), w1) of the minimal-surface
+        equation A phi_xx + B phi_xy + C phi_yy = 0."""
+        w1, w2 = self.weights(px, py)
+        return w2, -2.0 * (self.k0 + self.eps * px * py), w1
 
 
 EUCLIDEAN = AmbientMetric(1.0, 1.0, 0.0, 1)
@@ -215,12 +234,9 @@ def _require_admissible(spec: SurfaceSpec, x, y):
 
 def residual_values(spec: SurfaceSpec, x, y) -> np.ndarray:
     """Minimal-surface residual at each point (arrays in, array out)."""
-    amb = spec.ambient
     f = spec.phi_jet(x, y)
-    px, py = f.partial(1, 0), f.partial(0, 1)
-    return ((amb.k2 + amb.eps * py ** 2) * f.partial(2, 0)
-            - 2.0 * (amb.k0 + amb.eps * px * py) * f.partial(1, 1)
-            + (amb.k1 + amb.eps * px ** 2) * f.partial(0, 2))
+    A, B, C = spec.ambient.pde_coefficients(f.partial(1, 0), f.partial(0, 1))
+    return A * f.partial(2, 0) + B * f.partial(1, 1) + C * f.partial(0, 2)
 
 
 def minimal_residual(spec: SurfaceSpec, p) -> float:
@@ -233,28 +249,4 @@ def minimal_residual(spec: SurfaceSpec, p) -> float:
 def rho_values(spec: SurfaceSpec, x, y) -> np.ndarray:
     """rho = 1 + eps * g0^{mu nu} phi_mu phi_nu at each point."""
     f = spec.phi_jet(x, y)
-    return rho_from_jet(f, spec.ambient)
-
-
-def rho_from_jet(f: Jet3, amb: AmbientMetric) -> np.ndarray:
-    px, py = f.partial(1, 0), f.partial(0, 1)
-    gi = amb.g0_inv
-    return 1.0 + amb.eps * (gi[0, 0] * px ** 2 + 2.0 * gi[0, 1] * px * py + gi[1, 1] * py ** 2)
-
-
-def mean_curvature(spec: SurfaceSpec, p) -> float:
-    """H = rho^{-1/2} h^{mu nu} phi_{,mu nu}; zero exactly on minimal graphs."""
-    x, y = _as_batch(p)
-    _require_admissible(spec, x, y)
-    amb = spec.ambient
-    f = spec.phi_jet(x, y)
-    rho = rho_from_jet(f, amb)
-    if np.any(rho <= 0.0):
-        raise DomainError("rho <= 0: real sqrt branch undefined")
-    gi = amb.g0_inv
-    grad = np.stack([f.partial(1, 0), f.partial(0, 1)])
-    hess = np.array([[f.partial(2, 0), f.partial(1, 1)], [f.partial(1, 1), f.partial(0, 2)]])
-    up = np.einsum("mn,n...->m...", gi, grad)  # phi^mu
-    lap = (np.einsum("mn,mn...->...", gi, hess)
-           - amb.eps / rho * np.einsum("m...,n...,mn...->...", up, up, hess))
-    return float((lap / np.sqrt(rho))[0])
+    return spec.ambient.rho(f.partial(1, 0), f.partial(0, 1))

@@ -1,5 +1,7 @@
 import json
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,10 @@ import pytest
 from minsurf import cli
 from minsurf.cli import dumps, main
 from minsurf.geometry2d import CHECK_NAMES
+from minsurf.solver import load_solution
+from minsurf.surfaces import catalog
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 REPORT_KEYS = ["surface", "config", "seed", "tolerances", "points_requested",
                "points_evaluated", "points_skipped", "skip_reasons", "per_check",
@@ -190,6 +196,84 @@ def test_solve_linear_quick_convergence(capsys, tmp_path):
     lines = [json.loads(l) for l in out.strip().splitlines()]
     assert len(lines) <= 3  # converges in at most two iterations
     assert path.exists()
+
+
+def test_solve_catalog_boundary_catenoid(capsys, tmp_path):
+    # Dirichlet data from the catalog's catenoid: the solution matches the
+    # exact graph at the nodes to O(h^2)
+    errors = []
+    for grid in (33, 65):
+        path = tmp_path / f"cat{grid}.minsurf"
+        code, _, _ = run(capsys, "solve", "--boundary", "catenoid", "--grid", f"{grid},{grid}",
+                         "--domain=1.2,2.5,-0.8,0.8", "--out", str(path))
+        assert code == 0
+        sol = load_solution(path)
+        X, Y = np.meshgrid(sol.xs, sol.ys, indexing="ij")
+        errors.append(np.abs(sol.values - np.arccosh(np.hypot(X, Y))).max())
+    assert errors[0] < 2e-4 and errors[1] < 5e-5
+    assert errors[0] / errors[1] > 3.0
+
+
+def test_solve_boundary_outside_surface_domain_exit2(capsys, tmp_path):
+    # the helicoid's arctan(y/x) is undefined on the default square's x = 0
+    path = tmp_path / "h.minsurf"
+    code, out, err = run(capsys, "solve", "--boundary", "helicoid", "--out", str(path))
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    assert not path.exists()
+
+
+def test_solve_unknown_boundary_lists_catalog(capsys, tmp_path):
+    code, out, err = run(capsys, "solve", "--boundary", "nosuch", "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    assert all(spec.name in err for spec in catalog())
+
+
+def test_negative_values_as_separate_arguments(capsys, tmp_path):
+    code, rep, _ = verify_report(capsys, "--surface", "plane", "--n", "2",
+                                 "--eps-blocks", "-1,1", "--samples", "5")
+    assert code == 0 and rep["config"]["eps_blocks"] == [-1, 1]
+    code, out, err = run(capsys, "verify", "--surface", "plane", "--tol", "-1e-7")
+    assert code == 2 and out == ""
+    assert "--tol must be a positive finite number" in err
+    path = tmp_path / "lin.minsurf"
+    code, _, _ = run(capsys, "solve", "--boundary", "linear:2,-1,0", "--grid", "17,17",
+                     "--domain", "-1,1,-1,1", "--out", str(path))
+    assert code == 0 and path.exists()
+
+
+def test_normalize_argv_joins_only_number_like_values():
+    assert cli._normalize_argv(["--tol", "-.5", "--n", "2"]) == ["--tol=-.5", "--n", "2"]
+    assert cli._normalize_argv(["--domain=-1,1,-1,1"]) == ["--domain=-1,1,-1,1"]
+    assert cli._normalize_argv(["--oracle", "--json", "-x"]) == ["--oracle", "--json", "-x"]
+    assert cli._normalize_argv(["--n", "2", "-1"]) == ["--n", "2", "-1"]
+
+
+def readme_commands():
+    """argv of every ``minsurf ...`` line in the README's sh blocks."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+    return [shlex.split(line, comments=True)[1:]
+            for block in blocks for line in block.splitlines() if line.startswith("minsurf ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) == 10
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(cli._normalize_argv(argv))
+        except SystemExit:
+            pytest.fail(f"README command does not parse: minsurf {shlex.join(argv)}")
+
+
+def test_readme_curvature_examples_run(capsys):
+    commands = [argv for argv in readme_commands() if argv[0] == "curvature"]
+    assert len(commands) == 3
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_solve_scherk_65(capsys, tmp_path):

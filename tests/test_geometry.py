@@ -216,6 +216,34 @@ def test_bi_wave_log_domain_skips():
     assert checks["MU"].normalized < 1e-9
 
 
+def test_mixed_log_domain_mask_matches_single_points():
+    """phi = x*y over the Lorentzian ambient: rho > 0 at every point, but
+    w2 = x^2 - 1 changes sign inside the batch, so the w-masked checks are
+    valid at some points only.  Each point's batched residuals equal the
+    single-point ones exactly, skips included."""
+    spec = SurfaceSpec("xy", lambda x, y: Jet3.variable("x", x) * Jet3.variable("y", y),
+                       surfaces.LORENTZIAN, (0.0, 2.0, 0.0, 2.0))
+    x = np.array([0.8, 1.2, 0.9, 1.1, 0.5])
+    y = np.array([1.0, 1.0, 0.7, 0.8, 0.3])
+    fr = SurfaceFrame(spec, x, y)
+    assert np.all(fr.rho.value > 0.0)
+    w_ok = (fr.w[0].value > 0.0) & (fr.w[1].value > 0.0)
+    assert w_ok.tolist() == [False, True, False, True, False]
+    batch = run_identity_checks(fr, CheckConstants())
+    assert batch["P4c"].valid.tolist() == w_ok.tolist()
+    for k in range(x.size):
+        single = check_identities(spec, (x[k], y[k]))
+        for name in CHECK_NAMES:
+            res, one = batch[name], single[name]
+            if one.skipped is None:
+                assert res.valid[k], name
+                assert res.raw[k] == one.raw and res.normalized[k] == one.normalized, name
+            else:
+                assert one.skipped == geometry2d.SKIP_LOG_DOMAIN
+                assert not res.valid[k], name
+                assert np.isnan(res.raw[k]) and np.isnan(res.normalized[k]), name
+
+
 def test_nonminimal_failures_and_universal_identities():
     checks = check_identities(nonminimal_x2(), (0.5, 0.5))
     # the sigma-model equation needs H = 0
@@ -238,7 +266,7 @@ def test_p3c_engine_scalar_relation():
 
 
 def test_convention_factor_calibration():
-    """Pins CURVATURE_CONVENTION_FACTOR = 1: the tilted plane satisfies
+    """Pins the engine's curvature convention to the suite's: the tilted plane satisfies
     condition (2) trivially, and on Scherk the factor implied by requiring
     it to vanish is unity."""
     tilted = plane(1.0, 0.0, 0.0)  # phi = x
@@ -253,7 +281,7 @@ def test_convention_factor_calibration():
                       for e in range(2)], axis=1)
     trterm = np.einsum("pab,paij,pbji->p", fr.matrix_values(fr.g_inv), dginv, dg)
     implied = (-0.25 * trterm) / R
-    np.testing.assert_allclose(implied, geometry2d.CURVATURE_CONVENTION_FACTOR, rtol=1e-9)
+    np.testing.assert_allclose(implied, 1.0, rtol=1e-9)
 
 
 def test_homogeneity_of_constant_scalings():

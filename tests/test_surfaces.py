@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from conftest import interior_points
 
-from minsurf import surfaces
+from minsurf import mean_curvature, surfaces
 from minsurf.jets import DomainError
 from minsurf.surfaces import (AmbientMetric, InadmissiblePoint, bi_wave, catalog, get,
-                              mean_curvature, minimal_residual, nonminimal_x2, plane,
+                              minimal_residual, nonminimal_x2, plane,
                               residual_values, rho_values, scherk)
 
 MINIMAL = [s for s in catalog() if not s.non_minimal]
