@@ -66,10 +66,6 @@ class AssemblyConfig:
         return (-2.0 * (self.m1 + self.n1), -2.0 * (self.m2 + self.n2), self.n1 + self.n2)
 
 
-def _is_integer(p: float) -> bool:
-    return abs(p - round(p)) < 1e-12
-
-
 def conformal_factor(sample: TwoMetricSample, cfg: AssemblyConfig, phi_value: float) -> float:
     """e^{2 Phi} from an already-computed 2-surface sample."""
     w1, w2, rho, phi = (Jet3.constant(v) for v in (sample.w1, sample.w2, sample.rho, phi_value))
@@ -84,7 +80,7 @@ def log_domain_ok(rho, w1, w2, cfg: AssemblyConfig):
     ew1, ew2, erho = cfg.exponents
     ok = np.ones(np.shape(rho), dtype=bool)
     for base, p in ((w1, ew1), (w2, ew2), (rho, erho)):
-        if not _is_integer(p):
+        if not jets.is_integer(p):
             ok &= np.asarray(base) > 0.0
     return ok
 

@@ -319,7 +319,14 @@ def _parse_boundary(text):
         spec = surfaces.plane(a, b, c)
     else:
         spec = surfaces.get(text)
-    return (lambda x, y: spec.phi_jet(x, y).value), None
+
+    def boundary(x, y):
+        try:
+            return spec.phi_jet(x, y).value
+        except DomainError as exc:
+            raise UsageError(f"--boundary {text} is undefined on the solve domain's edge ({exc}); its catalog "
+                             "domain is x in [{:g}, {:g}], y in [{:g}, {:g}]".format(*spec.domain))
+    return boundary, None
 
 
 def cmd_solve(args) -> int:
@@ -339,12 +346,10 @@ def cmd_solve(args) -> int:
         if (ref.nx, ref.ny) != (nx, ny):
             raise UsageError(f"boundary file grid {ref.nx}x{ref.ny} != requested {nx}x{ny}")
         domain = (*ref.x_range, *ref.y_range)
-        interp = ref  # Dirichlet data read off the stored edge values
 
-        def boundary(x, y):
-            ii = np.clip(np.rint((np.asarray(x) - interp.x_range[0]) / interp.hx).astype(int), 0, nx - 1)
-            jj = np.clip(np.rint((np.asarray(y) - interp.y_range[0]) / interp.hy).astype(int), 0, ny - 1)
-            return interp.values[ii, jj]
+        def boundary(x, y):  # Dirichlet data read off the stored edge values
+            i, j = ref.nearest_node(x, y)
+            return ref.values[np.clip(i, 0, nx - 1), np.clip(j, 0, ny - 1)]
 
     exit_code = 0
     try:

@@ -14,8 +14,8 @@ d S and d Gamma runs over those two live directions, giving shapes
 -d_d Gamma^a_{ab} fills only the columns d < 2.  S itself still needs
 d g in all dim directions, the dead ones zero, because its derivative
 index is contracted with metric indices.  ricci_arrays works through a
-batch in blocks of RICCI_BLOCK points, so its temporaries do not grow
-with the batch.  Both choices leave every result bit for bit the same:
+batch in blocks of block_points(dim) points, so its temporaries do not
+grow with the batch.  Both choices leave every result bit for bit the same:
 the plain einsum calls keep their subscripts and summation order, and
 tests/test_curvature.py compares against the padded reference engine.
 """
@@ -56,8 +56,13 @@ class CurvatureReport:
     point: tuple
 
 
-#: points per block of the batched Ricci computation; bounds its peak memory
+#: points per block of the batched Ricci computation at dim 8; bounds its peak memory
 RICCI_BLOCK = 512
+
+
+def block_points(dim):
+    """Block size at dim: the (block, 2, dim, dim, dim) temporaries keep their dim-8 size."""
+    return max(1, RICCI_BLOCK * 8 ** 3 // dim ** 3)
 
 
 def _pad(d):
@@ -128,11 +133,11 @@ def ricci_arrays(comp, d1, d2):
     comp = comp.reshape((-1, dim, dim))
     d1 = d1.reshape((-1, 2, dim, dim))
     d2 = d2.reshape((-1, 2, 2, dim, dim))
-    P = comp.shape[0]
+    P, step = comp.shape[0], block_points(dim)
     gamma, ricci = np.empty((P, dim, dim, dim)), np.empty((P, dim, dim))
     scalar, denom = np.empty(P), np.empty(P)
-    for start in range(0, P, RICCI_BLOCK):
-        blk = slice(start, start + RICCI_BLOCK)
+    for start in range(0, P, step):
+        blk = slice(start, start + step)
         gamma[blk], ricci[blk], scalar[blk], denom[blk] = _ricci_block(comp[blk], d1[blk], d2[blk])
     return tuple(a.reshape(lead + a.shape[1:]) for a in (gamma, ricci, scalar, denom))
 

@@ -107,7 +107,7 @@ class SurfaceFrame:
         self.h_inv = [[gi[m, n] - (amb.eps / self.rho) * self.up[m] * self.up[n] for n in range(2)] for m in range(2)]
         inv_sr = jets.powr(self.sr, -1)
         self.g = [[self.h[m][n] * inv_sr for n in range(2)] for m in range(2)]
-        self.g_inv = _inverse(self.g)[1]
+        self.sqrt_det_g, self.g_inv = _inverse(self.g)
         self.w = amb.weights(self.p[0], self.p[1])
         self.xi = [self.g_inv[0][0], self.g_inv[1][1]]
         self.psi0 = -0.25 * self.log_rho
@@ -164,33 +164,32 @@ def matrix_jets_to_arrays(m):
 
 
 def _inverse(m):
-    """(det, inverse) of a symmetric 2x2 matrix of jets."""
+    """(sqrt|det|, inverse) of a symmetric 2x2 matrix of jets."""
     det = m[0][0] * m[1][1] - m[0][1] * m[0][1]
     if np.any(det.value == 0.0):
         raise SingularMetric("metric determinant vanishes")
     inv_det = jets.powr(det, -1)
-    return det, [[m[1][1] * inv_det, -m[0][1] * inv_det],
-                 [-m[0][1] * inv_det, m[0][0] * inv_det]]
+    return jets.sqrt(det * np.sign(det.value)), [[m[1][1] * inv_det, -m[0][1] * inv_det],
+                                                 [-m[0][1] * inv_det, m[0][0] * inv_det]]
 
 
-def _laplace_terms(metric, f: Jet3):
-    """(value, term scale) of the Laplace-Beltrami of f w.r.t. a jet metric.
+def _divergence(flux):
+    """(d_a flux^a, max_a |d_a flux^a|) of a jet vector field, as value arrays."""
+    terms = np.stack([flux[0].partial(1, 0), flux[1].partial(0, 1)])
+    return terms.sum(axis=0), np.abs(terms).max(axis=0)
 
-    Divergence form |det|^{-1/2} d_a(|det|^{1/2} m^{ab} d_b f), evaluated by
-    jet propagation.  The scale is the largest flux-derivative magnitude,
-    for residual normalization.
-    """
-    det, inv = _inverse(metric)
-    s = jets.sqrt(det * np.sign(det.value))
+
+def _laplace_terms(s, inv, f: Jet3):
+    """(value, term scale) of the Laplace-Beltrami |det|^{-1/2} d_a(|det|^{1/2}
+    m^{ab} d_b f) for a jet metric m given as (s = |det|^{1/2}, m^{-1})."""
     df = [deriv(f, 0), deriv(f, 1)]
-    flux = [s * (inv[a][0] * df[0] + inv[a][1] * df[1]) for a in range(2)]
-    terms = np.stack([deriv(flux[0], 0).value, deriv(flux[1], 1).value])
-    return terms.sum(axis=0) / s.value, np.abs(terms).max(axis=0) / np.abs(s.value)
+    div, scale = _divergence([s * (inv[a][0] * df[0] + inv[a][1] * df[1]) for a in range(2)])
+    return div / s.value, scale / np.abs(s.value)
 
 
 def laplace_beltrami(metric, f: Jet3):
     """Laplace-Beltrami of f w.r.t. a 2x2 jet metric (value array)."""
-    return _laplace_terms(metric, f)[0]
+    return _laplace_terms(*_inverse(metric), f)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +225,17 @@ def sample(spec: SurfaceSpec, p) -> TwoMetricSample:
 
 
 def gaussian_K(spec: SurfaceSpec, p) -> float:
-    fr = _frame_at(spec, p)
-    return float(fr.curvature_quantities()[1][0])
+    return float(_frame_at(spec, p).curvature_quantities()[1][0])
 
 
 def mean_curvature(spec: SurfaceSpec, p) -> float:
     """H = rho^{-1/2} h^{mu nu} phi_{,mu nu}; zero exactly on minimal graphs."""
-    fr = _frame_at(spec, p)
-    return float(fr.curvature_quantities()[2][0])
+    return float(_frame_at(spec, p).curvature_quantities()[2][0])
 
 
 def ricci_two(spec: SurfaceSpec, p) -> np.ndarray:
     """Ricci tensor of the induced metric h at p."""
-    fr = _frame_at(spec, p)
-    return fr.curvature_quantities()[3][0]
+    return _frame_at(spec, p).curvature_quantities()[3][0]
 
 
 def check_identities(spec: SurfaceSpec, p, consts: CheckConstants | None = None) -> dict:
@@ -297,13 +293,13 @@ def _masked_log(j: Jet3, ok) -> Jet3:
 def run_identity_checks(fr: SurfaceFrame, consts: CheckConstants) -> dict:
     """Evaluate all identity checks over the frame's point batch."""
     eps, g0, g0i, D = fr.eps, fr.g0, fr.g0_inv, fr.det_g0
-    rho = fr.rho.value
-    sr = fr.sr.value
+    rho, sr = fr.rho.value, fr.sr.value
     hess = fr.hessian()
     hv = fr.matrix_values(fr.h)
     hinv_v = fr.matrix_values(fr.h_inv)
     lambda0, K, _H, r, _ = fr.curvature_quantities()
     R_ab, R = fr.conformal_curvature()
+    s, ginv = fr.sqrt_det_g, fr.g_inv  # the conformal metric g, for every Laplacian
     checks = {}
 
     # P1: 2D Hessian pair identity (all 16 index combinations)
@@ -333,24 +329,15 @@ def run_identity_checks(fr: SurfaceFrame, consts: CheckConstants) -> dict:
 
     # P2a/P2b: conservation of the weighted gradient and of the weighted
     # inverse metric on minimal graphs, by jet propagation
-    V = [fr.sr * (fr.h_inv[a][0] * fr.p[0] + fr.h_inv[a][1] * fr.p[1]) for a in range(2)]
-    terms = np.stack([deriv(V[0], 0).value, deriv(V[1], 1).value])
-    checks["P2a"] = BatchCheck.dense(terms.sum(axis=0), np.abs(terms).max(axis=0))
-    raws, scales = [], []
-    for b in range(2):
-        Wb = [fr.sr * fr.h_inv[a][b] for a in range(2)]
-        terms = np.stack([deriv(Wb[0], 0).value, deriv(Wb[1], 1).value])
-        raws.append(np.abs(terms.sum(axis=0)))
-        scales.append(np.abs(terms).max(axis=0))
-    checks["P2b"] = BatchCheck.dense(np.max(raws, axis=0), np.max(scales, axis=0))
+    checks["P2a"] = BatchCheck.dense(*_divergence(
+        [fr.sr * (fr.h_inv[a][0] * fr.p[0] + fr.h_inv[a][1] * fr.p[1]) for a in range(2)]))
+    raws, scales = zip(*(_divergence([fr.sr * fr.h_inv[a][b] for a in range(2)]) for b in range(2)))
+    checks["P2b"] = BatchCheck.dense(np.max(np.abs(raws), axis=0), np.max(scales, axis=0))
 
     # P3a: R + (1/4) g^{ab} tr[d_a g^{-1} d_b g], the scalar condition
     # defining the admissible 2-metric class
-    ginv_v = fr.matrix_values(fr.g_inv)
-    dgmat = [[[deriv(fr.g[i][j], e) for j in range(2)] for i in range(2)] for e in range(2)]
-    dg = np.stack([fr.matrix_values(dgmat[e]) for e in range(2)], axis=-3)
-    dginv = np.stack([fr.matrix_values([[deriv(fr.g_inv[m][n], e) for n in range(2)] for m in range(2)])
-                      for e in range(2)], axis=-3)
+    ginv_v, dginv, _ = matrix_jets_to_arrays(ginv)
+    dg = matrix_jets_to_arrays(fr.g)[1]
     trterm = 0.25 * np.einsum("...ab,...aij,...bji->...", ginv_v, dginv, dg)
     checks["P3a"] = BatchCheck.dense(R + trterm, _abs_max(R, trterm))
 
@@ -361,14 +348,14 @@ def run_identity_checks(fr: SurfaceFrame, consts: CheckConstants) -> dict:
 
     # P3c: R = sqrt(rho) r - 2 lap_g psi0 (trace of the conformal relation)
     r_scalar = np.einsum("...mn,...mn->...", hinv_v, r)
-    lap_psi0, lap_psi0_scale = _laplace_terms(fr.g, fr.psi0)
+    lap_psi0, lap_psi0_scale = _laplace_terms(s, ginv, fr.psi0)
     checks["P3c"] = BatchCheck.dense(R - sr * r_scalar + 2.0 * lap_psi0,
                                      _abs_max(R, sr * r_scalar, 2.0 * lap_psi0_scale))
 
     # P4a: lap_g zeta - a0 R + a0 sqrt(rho) K, zeta = (a0/2) log rho
     a0, a1, a2, b1, b2 = consts.a0, consts.a1, consts.a2, consts.b1, consts.b2
     zeta = (a0 / 2.0) * fr.log_rho
-    lap_zeta, lz_scale = _laplace_terms(fr.g, zeta)
+    lap_zeta, lz_scale = _laplace_terms(s, ginv, zeta)
     checks["P4a"] = BatchCheck.dense(lap_zeta - a0 * R + a0 * sr * K,
                                      _abs_max(lz_scale, a0 * R, a0 * sr * K))
 
@@ -378,19 +365,19 @@ def run_identity_checks(fr: SurfaceFrame, consts: CheckConstants) -> dict:
     w_ok = (fr.w[0].value > 0.0) & (fr.w[1].value > 0.0)
 
     psi1 = a1 * _masked_log(fr.xi[0], xi_ok) + a2 * _masked_log(fr.xi[1], xi_ok)
-    lap, lap_scale = _laplace_terms(fr.g, psi1)
+    lap, lap_scale = _laplace_terms(s, ginv, psi1)
     checks["P4b"] = BatchCheck.masked(lap - (a1 + a2) * R, _abs_max(lap_scale, (a1 + a2) * R), xi_ok)
     cc1_psi1 = BatchCheck.masked(lap + (a1 + a2) * trterm,
                                  _abs_max(lap_scale, (a1 + a2) * trterm), xi_ok)
 
     psi2 = b1 * _masked_log(fr.w[0], w_ok) + b2 * _masked_log(fr.w[1], w_ok)
-    lap2, lap2_scale = _laplace_terms(fr.g, psi2)
+    lap2, lap2_scale = _laplace_terms(s, ginv, psi2)
     checks["P4c"] = BatchCheck.masked(
         lap2 - 2.0 * (b1 + b2) * R + (b1 + b2) * sr * K,
         _abs_max(lap2_scale, 2.0 * (b1 + b2) * R, (b1 + b2) * sr * K), w_ok)
     # mu = (b1+b2) zeta - a0 psi2 satisfies lap_g mu = -a0 (b1+b2) R
     mu = (b1 + b2) * (a0 / 2.0) * fr.log_rho - a0 * psi2
-    lap_mu, lap_mu_scale = _laplace_terms(fr.g, mu)
+    lap_mu, lap_mu_scale = _laplace_terms(s, ginv, mu)
     checks["MU"] = BatchCheck.masked(lap_mu + a0 * (b1 + b2) * R,
                                      _abs_max(lap_mu_scale, a0 * (b1 + b2) * R), w_ok)
     cc1_mu = BatchCheck.masked(lap_mu + (-a0 * (b1 + b2)) * trterm,
@@ -409,18 +396,15 @@ def run_identity_checks(fr: SurfaceFrame, consts: CheckConstants) -> dict:
 
     # P5: sigma-model equation d_a [g^{ab} g^{-1} d_b g] = 0, the matrix
     # condition defining the admissible 2-metric class
-    raw = scale = 0.0
-    for i in range(2):
-        for j in range(2):
-            inner = [fr.g_inv[i][0] * dgmat[b][0][j] + fr.g_inv[i][1] * dgmat[b][1][j] for b in range(2)]
-            flux = [fr.g_inv[a][0] * inner[0] + fr.g_inv[a][1] * inner[1] for a in range(2)]
-            terms = np.stack([deriv(flux[0], 0).value, deriv(flux[1], 1).value])
-            raw = np.maximum(raw, np.abs(terms.sum(axis=0)))
-            scale = np.maximum(scale, np.abs(terms).max(axis=0))
-    checks["P5"] = BatchCheck.dense(raw, scale)
+    dgmat = [[[deriv(fr.g[i][j], e) for j in range(2)] for i in range(2)] for e in range(2)]
+    inner = [[[ginv[i][0] * dgmat[b][0][j] + ginv[i][1] * dgmat[b][1][j] for b in range(2)]
+              for j in range(2)] for i in range(2)]
+    raws, scales = zip(*(_divergence([ginv[a][0] * v[0] + ginv[a][1] * v[1] for a in range(2)])
+                         for row in inner for v in row))
+    checks["P5"] = BatchCheck.dense(np.max(np.abs(raws), axis=0), np.max(scales, axis=0))
 
     # PHI-H: phi itself is g-harmonic on minimal surfaces
-    lap_phi, lap_phi_scale = _laplace_terms(fr.g, fr.phi)
+    lap_phi, lap_phi_scale = _laplace_terms(s, ginv, fr.phi)
     checks["PHI-H"] = BatchCheck.dense(lap_phi, lap_phi_scale)
 
     return checks

@@ -70,10 +70,6 @@ class Jet3:
         """Partial derivative d^i_x d^j_y of the represented function."""
         return self.c[IDX[(i, j)]]
 
-    def take(self, idx):
-        """Restrict a batched jet to a subset of sample points."""
-        return Jet3(self.c[:, idx])
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
@@ -206,9 +202,9 @@ def sinh(a: Jet3) -> Jet3:
     return _compose(a, s, c, s, c)
 
 
-def cosh(a: Jet3) -> Jet3:
-    s, c = np.sinh(a.value), np.cosh(a.value)
-    return _compose(a, c, s, c, s)
+def is_integer(p: float) -> bool:
+    """Whether powr treats the exponent p as an integer (any base allowed)."""
+    return abs(p - round(p)) < 1e-12
 
 
 def powr(a: Jet3, p: float) -> Jet3:
@@ -218,8 +214,8 @@ def powr(a: Jet3, p: float) -> Jet3:
     requires a strictly positive base.
     """
     v = a.value
-    pint = round(p)
-    if abs(p - pint) < 1e-12:
+    if is_integer(p):
+        pint = round(p)
         p = float(pint)
         if pint < 0 and np.any(v == 0.0):
             raise DomainError("negative integer power of zero")

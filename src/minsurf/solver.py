@@ -7,9 +7,10 @@ Solves the quasilinear equation
 
 on a rectangle with Dirichlet data, using second-order central stencils
 (9-point), an analytically assembled sparse Jacobian, direct sparse solves
-and Armijo backtracking.  Grid solutions serialize to the plain-text
-``minsurf v1`` format and can be fed back into the verification pipeline
-through finite-difference jets at grid nodes.
+and Armijo backtracking; a line search stalled at the operator's rounding
+floor ends converged.  Solutions serialize to the plain-text ``minsurf v1``
+format and feed the verification pipeline through ``grid_jets``, the
+finite-difference jets at the nodes nearest to arrays of points.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
 
-from .jets import NSLOTS, IDX, Jet3
+from .jets import IDX, NSLOTS, Jet3
 from .surfaces import AmbientMetric, SurfaceSpec
 
 FORMAT_MAGIC = "minsurf v1"
@@ -73,6 +74,11 @@ class GridSolution:
     def ys(self):
         return np.linspace(*self.y_range, self.ny)
 
+    def nearest_node(self, x, y):
+        """Integer indices (i, j) of the node nearest to (x, y), elementwise."""
+        return (np.rint((np.asarray(x) - self.x_range[0]) / self.hx).astype(int),
+                np.rint((np.asarray(y) - self.y_range[0]) / self.hy).astype(int))
+
 
 def _coons_patch(bound, xs, ys):
     """Transfinite interpolation of the four boundary edges (exact on edges)."""
@@ -103,6 +109,17 @@ def _residual(U, amb, hx, hy):
     Ux, Uy, Uxx, Uyy, Uxy = _interior_derivs(U, hx, hy)
     A, B, C = amb.pde_coefficients(Ux, Uy)
     return A * Uxx + B * Uxy + C * Uyy
+
+
+def _rounding_floor(U, amb, hx, hy):
+    """Round-off bound of the residual on U: eps_mach times its terms in absolute value."""
+    Ux, Uy, _, _, _ = _interior_derivs(U, hx, hy)
+    A, B, C = amb.pde_coefficients(Ux, Uy)
+    a = np.abs(U)
+    terms = (np.abs(A) * (a[2:, 1:-1] + 2 * a[1:-1, 1:-1] + a[:-2, 1:-1]) / hx ** 2
+             + np.abs(B) * (a[2:, 2:] + a[2:, :-2] + a[:-2, 2:] + a[:-2, :-2]) / (4 * hx * hy)
+             + np.abs(C) * (a[1:-1, 2:] + 2 * a[1:-1, 1:-1] + a[1:-1, :-2]) / hy ** 2)
+    return np.finfo(float).eps * float(terms.max())
 
 
 def _check_rho(U, amb, hx, hy):
@@ -149,7 +166,8 @@ def solve_minimal(boundary, ambient: AmbientMetric, grid=(65, 65),
     """Damped Newton iteration from the Coons-patch initial guess.
 
     ``boundary(x, y)`` supplies Dirichlet values on the rectangle edge
-    (vectorized).  Residual history records the interior max norm.
+    (vectorized).  Residual history records the interior max norm.  A line
+    search that stalls at the operator's rounding floor also converges.
     """
     nx, ny = grid
     if nx < 3 or ny < 3:
@@ -166,6 +184,7 @@ def solve_minimal(boundary, ambient: AmbientMetric, grid=(65, 65),
     _check_rho(U, ambient, hx, hy)
     F = _residual(U, ambient, hx, hy)
     history = [float(np.abs(F).max())]
+    at_floor = False
     for _ in range(max_iter):
         if history[-1] < tol:
             break
@@ -188,15 +207,17 @@ def solve_minimal(boundary, ambient: AmbientMetric, grid=(65, 65),
                 break
             lam *= 0.5
         else:
+            at_floor = history[-1] <= _rounding_floor(U, ambient, hx, hy)
+            if at_floor:
+                break
             sol.values, sol.residual_history = U, history
             raise NoConvergence("line search stalled", sol)
         U, F = U_try, F_try
         _check_rho(U, ambient, hx, hy)
         history.append(float(np.abs(F).max()))
 
-    sol.values = U
-    sol.residual_history = history
-    sol.converged = history[-1] < tol
+    sol.values, sol.residual_history = U, history
+    sol.converged = at_floor or history[-1] < tol
     if not sol.converged:
         raise NoConvergence(f"residual {history[-1]:.3e} after {max_iter} iterations", sol)
     return sol
@@ -258,23 +279,23 @@ _STENCILS = (
 
 
 def grid_jets(sol: GridSolution, p) -> Jet3:
-    """Order-3 jet of the discrete solution at the node nearest to p.
-
-    Orders 1-2 are O(h^2) accurate, order 3 is O(h^2) as well (the stated
-    contract only requires O(h)).  Requires the nearest node to be at least
-    two nodes away from the boundary.
+    """Order-3 jets of the discrete solution at the nodes nearest to p = (x, y),
+    scalars or equal-shape arrays.  Orders 1-2 are O(h^2) accurate, order 3
+    is O(h^2) as well (the stated contract only requires O(h)).  Every
+    nearest node must be at least two nodes away from the boundary.
     """
-    x, y = p
-    i = int(round((x - sol.x_range[0]) / sol.hx))
-    j = int(round((y - sol.y_range[0]) / sol.hy))
-    if not (2 <= i <= sol.nx - 3 and 2 <= j <= sol.ny - 3):
-        raise TooCloseToBoundary(f"node ({i}, {j}) lacks a 5x5 interior neighbourhood")
-    block = sol.values[i - 2:i + 3, j - 2:j + 3]
-    c = np.zeros(NSLOTS)
+    i, j = sol.nearest_node(*p)
+    far = (2 <= i) & (i <= sol.nx - 3) & (2 <= j) & (j <= sol.ny - 3)
+    if not far.all():
+        raise TooCloseToBoundary(f"node ({i[~far][0]}, {j[~far][0]}) lacks a 5x5 interior neighbourhood")
+    off = np.arange(-2, 3)
+    block = sol.values[(i[..., None] + off)[..., :, None], (j[..., None] + off)[..., None, :]]
+    # stacked matmuls make the BLAS calls of a single node's dx @ block @ dy
+    # (vector-matrix, then dot) node by node, so the bits match it exactly
+    rows = [st / sol.hx ** a @ block for a, st in enumerate(_STENCILS)]
+    c = np.empty((NSLOTS,) + i.shape)
     for (a, b), slot in IDX.items():
-        dx = _STENCILS[a] / sol.hx ** a
-        dy = _STENCILS[b] / sol.hy ** b
-        c[slot] = dx @ block @ dy
+        c[slot] = (rows[a][..., None, :] @ (_STENCILS[b] / sol.hy ** b)[:, None])[..., 0, 0]
     return Jet3(c)
 
 
@@ -287,13 +308,5 @@ def as_surface(sol: GridSolution, name=None) -> SurfaceSpec:
     x0, x1 = sol.x_range
     y0, y1 = sol.y_range
     domain = (x0 + 2 * sol.hx, x1 - 2 * sol.hx, y0 + 2 * sol.hy, y1 - 2 * sol.hy)
-
-    def phi(x, y):
-        x = np.atleast_1d(x)
-        y = np.atleast_1d(y)
-        c = np.zeros((NSLOTS, x.shape[0]))
-        for k in range(x.shape[0]):
-            c[:, k] = grid_jets(sol, (x[k], y[k])).c
-        return Jet3(c)
-
-    return SurfaceSpec(name or "grid", phi, sol.ambient, domain)
+    return SurfaceSpec(name or "grid", lambda x, y: grid_jets(sol, (np.atleast_1d(x), np.atleast_1d(y))),
+                       sol.ambient, domain)

@@ -198,6 +198,17 @@ def test_solve_linear_quick_convergence(capsys, tmp_path):
     assert path.exists()
 
 
+def test_solve_stops_at_rounding_floor(capsys, tmp_path):
+    # the Coons patch of a plane is exact; its round-off residual sits above
+    # --tol 1e-14, so the line search stalls there and that counts as converged
+    path = tmp_path / "plane.minsurf"
+    code, out, err = run(capsys, "solve", "--boundary", "linear:0.3,1.7,-2.5",
+                         "--grid", "65,65", "--tol", "1e-14", "--out", str(path))
+    assert code == 0 and err == ""
+    assert json.loads(out.strip().splitlines()[-1])["residual"] > 1e-14
+    assert load_solution(path).converged
+
+
 def test_solve_catalog_boundary_catenoid(capsys, tmp_path):
     # Dirichlet data from the catalog's catenoid: the solution matches the
     # exact graph at the nodes to O(h^2)
@@ -221,6 +232,8 @@ def test_solve_boundary_outside_surface_domain_exit2(capsys, tmp_path):
     assert code == 2
     assert out == "" and err.count("\n") == 1
     assert not path.exists()
+    assert "--boundary helicoid" in err
+    assert "x in [0.1, 2], y in [-1.5, 1.5]" in err  # the catalog domain box
 
 
 def test_solve_unknown_boundary_lists_catalog(capsys, tmp_path):

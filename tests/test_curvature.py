@@ -184,14 +184,24 @@ def test_ricci_arrays_bits_match_padded_reference(name, cfg):
 
 def test_blocked_ricci_equals_one_block(monkeypatch):
     cfg = assembly.AssemblyConfig(2, (1, -1), 0.3, 1.0, 0.25)
-    block = curvature.RICCI_BLOCK
-    fr = sampled_frame("scherk", cfg, 3 * block - 7)
-    comp, d1, d2 = assembly.assemble_arrays(fr, cfg)
-    for P in (1, block, block + 1, 3 * block - 7):
-        blocked = curvature.ricci_arrays(comp[:P], d1[:P], d2[:P])
-        with monkeypatch.context() as m:
-            m.setattr(curvature, "RICCI_BLOCK", P)
-            assert_bits_equal(blocked, curvature.ricci_arrays(comp[:P], d1[:P], d2[:P]))
+    fr = sampled_frame("scherk", cfg, 700)
+    # the dim-6 assembled metric and the identity suite's dim-2 conformal
+    # metric, tiled past their block sizes (the points need not differ)
+    for arrays in (assembly.assemble_arrays(fr, cfg), geometry2d.matrix_jets_to_arrays(fr.g)):
+        block = curvature.block_points(arrays[0].shape[-1])
+        comp, d1, d2 = (np.resize(a, (2 * block + 5,) + a.shape[1:]) for a in arrays)
+        for P in (1, block, block + 1, 2 * block + 5):
+            blocked = curvature.ricci_arrays(comp[:P], d1[:P], d2[:P])
+            with monkeypatch.context() as m:
+                m.setattr(curvature, "block_points", lambda dim: P)
+                assert_bits_equal(blocked, curvature.ricci_arrays(comp[:P], d1[:P], d2[:P]))
+
+
+def test_block_points_keep_dim8_temporaries():
+    assert curvature.block_points(8) == curvature.RICCI_BLOCK
+    for dim in (2, 4, 6, 14):
+        size = curvature.block_points(dim) * dim ** 3
+        assert curvature.RICCI_BLOCK * 8 ** 3 - dim ** 3 < size <= curvature.RICCI_BLOCK * 8 ** 3
 
 
 def test_batched_ricci_fd_equals_pointwise_loop():

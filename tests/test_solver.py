@@ -9,6 +9,27 @@ from minsurf.surfaces import EUCLIDEAN, LORENTZIAN
 
 SCHERK = lambda x, y: np.log(np.cos(np.asarray(y, dtype=float))) - np.log(np.cos(np.asarray(x, dtype=float)))
 
+# 1-D central stencils over offsets -2..2 for derivative orders 0..3
+STENCILS = ([0.0, 0.0, 1.0, 0.0, 0.0], [0.0, -0.5, 0.0, 0.5, 0.0],
+            [0.0, 1.0, -2.0, 1.0, 0.0], [-0.5, 1.0, 0.0, -1.0, 0.5])
+
+
+def pointwise_grid_jet(sol, x, y):
+    """Reference: the single-node jet, one dx @ block @ dy product per slot."""
+    i = int(round((x - sol.x_range[0]) / sol.hx))
+    j = int(round((y - sol.y_range[0]) / sol.hy))
+    block = sol.values[i - 2:i + 3, j - 2:j + 3]
+    c = np.zeros(len(IDX))
+    for (a, b), slot in IDX.items():
+        c[slot] = (np.array(STENCILS[a]) / sol.hx ** a) @ block @ (np.array(STENCILS[b]) / sol.hy ** b)
+    return c
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
 
 def test_linear_boundary_is_exact():
     sol = solve_minimal(lambda x, y: 2.0 * np.asarray(x) - np.asarray(y), EUCLIDEAN, grid=(17, 17))
@@ -132,6 +153,28 @@ def test_grid_jets_too_close_to_boundary():
         grid_jets(sol, (-1.0, 0.0))
     with pytest.raises(TooCloseToBoundary):
         grid_jets(sol, (0.0, 0.999))
+
+
+def test_batched_grid_jets_equal_pointwise_reference():
+    # hy = 2/40 is not a power of two, so the rounding of every product counts
+    sol = solve_minimal(SCHERK, EUCLIDEAN, grid=(65, 41))
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1.0 + 2 * sol.hx, 1.0 - 2 * sol.hx, (4, 50))
+    y = rng.uniform(-1.0 + 2 * sol.hy, 1.0 - 2 * sol.hy, (4, 50))
+    x[0, :5], y[0, :5] = sol.xs[2:7], sol.ys[2:7]  # exactly on nodes
+    x[1, :5] = (sol.xs[10:15] + sol.xs[11:16]) / 2  # halfway between nodes
+    want = np.stack([pointwise_grid_jet(sol, a, b) for a, b in zip(x.ravel(), y.ravel())], axis=-1)
+    assert_bits_equal(grid_jets(sol, (x, y)).c, want.reshape((len(IDX),) + x.shape))
+    for k in (0, 7, 120):
+        assert_bits_equal(grid_jets(sol, (x.flat[k], y.flat[k])).c, want[:, k])
+    assert_bits_equal(as_surface(sol).phi_jet(x[2], y[2]).c, want[:, 100:150])
+
+
+def test_grid_jets_one_bad_point_rejects_batch():
+    sol = solve_minimal(SCHERK, EUCLIDEAN, grid=(17, 17))
+    x = np.array([0.0, 0.1, -1.0, 0.2])
+    with pytest.raises(TooCloseToBoundary, match=r"node \(0, 8\)"):
+        grid_jets(sol, (x, np.zeros(4)))
 
 
 def test_grid_fed_ricci_residual_shrinks_under_refinement():
