@@ -102,7 +102,7 @@ def assemble_arrays(fr: SurfaceFrame, cfg: AssemblyConfig):
     e2 = conformal_factor_jet(fr, cfg)
     xblock = [[e2 * fr.g[a][b] for b in range(2)] for a in range(2)]
     cx, d1x, d2x = matrix_jets_to_arrays(xblock)
-    cg, d1g, d2g = matrix_jets_to_arrays(fr.g)
+    cg, d1g, d2g = fr.g_arrays
     P = cx.shape[0]
     dim = cfg.dim
     comp = np.zeros((P, dim, dim))

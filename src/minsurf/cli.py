@@ -143,15 +143,14 @@ def draw_points(spec, cfg, samples, seed):
     return np.concatenate(xs), np.concatenate(ys), consumed, skips
 
 
-def run_verification(spec, cfg, samples=100, seed=42, tol=1e-7,
-                     consts=None, oracle=False):
+def run_verification(spec, cfg, samples=100, seed=42, tol=1e-7, oracle=False):
     """Full verification of one surface/configuration pair."""
     t0 = time.monotonic()
     x, y, drawn, skips = draw_points(spec, cfg, samples, seed)
     if x.size == 0:
         raise DomainError("no admissible sample points found within the redraw budget")
     frame = geometry2d.SurfaceFrame(spec, x, y)
-    checks = geometry2d.run_identity_checks(frame, consts or CheckConstants())
+    checks = geometry2d.run_identity_checks(frame, CheckConstants())
 
     per_check = {}
     checks_pass = True

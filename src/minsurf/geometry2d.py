@@ -7,6 +7,12 @@ duals xi1, xi2, and psi0 = -(1/4) log rho.  On top of those it evaluates
 the full identity suite (17 named checks) whose simultaneous vanishing on
 minimal surfaces is what the Ricci-flat construction rests on.
 
+``SurfaceFrame`` is the one owner of these quantities for a batch of
+points: it holds the jets and computes the shared plain arrays once.  The
+identity suite, assembly and the single-point readers (``sample``,
+``gaussian_K``, ``mean_curvature``, ``ricci_two``, which read a one-point
+frame) take them from it.
+
 All divergence- and Laplacian-type checks are evaluated by jet propagation
 of the bracketed expressions, never by numerical differentiation; the
 finite-difference oracle lives in the tests.
@@ -80,6 +86,9 @@ class TwoMetricSample:
 class SurfaceFrame:
     """Batched jet workspace for a surface at an array of sample points.
 
+    It also owns the plain arrays that the identity suite, assembly and the
+    single-point readers share, each computed once here: the values of h
+    and h^{-1}, g's engine arrays, the Hessian of phi, lambda0, K, H and r.
     Callers must have screened the points already: admissible and rho > 0.
     """
 
@@ -112,39 +121,29 @@ class SurfaceFrame:
         self.xi = [self.g_inv[0][0], self.g_inv[1][1]]
         self.psi0 = -0.25 * self.log_rho
 
-    # -- plain-array views ----------------------------------------------
-
-    def hessian(self):
-        """phi_{,mu nu} values, shape (P, 2, 2)."""
-        f = self.phi
-        return np.stack([np.stack([f.partial(2, 0), f.partial(1, 1)], axis=-1),
-                         np.stack([f.partial(1, 1), f.partial(0, 2)], axis=-1)], axis=-2)
-
-    def matrix_values(self, m):
-        return _grab(m, 0, 0)
-
-    def curvature_quantities(self):
-        """(lambda0, K, H, r, lap_h_phi) as plain arrays."""
-        hess = self.hessian()
+        # plain arrays shared by the identity suite, assembly and the point readers
+        self.g_arrays = matrix_jets_to_arrays(self.g)  # (comp, d1, d2) for the Ricci engine
+        self.h_values, self.h_inv_values = _grab(self.h, 0, 0), _grab(self.h_inv, 0, 0)
+        self.hess = np.stack([np.stack([f.partial(2, 0), f.partial(1, 1)], axis=-1),
+                              np.stack([f.partial(1, 1), f.partial(0, 2)], axis=-1)], axis=-2)
         rho = self.rho.value
-        M = np.einsum("mk,...kn->...mn", self.g0_inv, hess)
-        trM = np.einsum("...mm->...", M)
+        M = np.einsum("mk,...kn->...mn", gi, self.hess)
+        # phi^a_a and phi_{,ma} g0^{ab} phi_{,bn}, which r and C1 share
+        self.trace_hess = np.einsum("...mm->...", M)
+        self.hess_sq = np.einsum("...ma,ab,...bn->...mn", self.hess, gi, self.hess)
         trM2 = np.einsum("...mk,...km->...", M, M)
-        lambda0 = 0.5 * (trM2 - trM ** 2)
-        K = (self.eps / rho ** 2) * (trM ** 2 - trM2)
-        hinv_v = self.matrix_values(self.h_inv)
-        lap_h_phi = np.einsum("...mn,...mn->...", hinv_v, hess)
-        H = lap_h_phi / np.sqrt(rho)
+        self.lambda0 = 0.5 * (trM2 - self.trace_hess ** 2)
+        self.K = (amb.eps / rho ** 2) * (self.trace_hess ** 2 - trM2)
+        lap_h_phi = np.einsum("...mn,...mn->...", self.h_inv_values, self.hess)
+        self.H = lap_h_phi / np.sqrt(rho)
         drho = np.stack([self.rho.partial(1, 0), self.rho.partial(0, 1)], axis=-1)
-        r = ((self.eps / rho)[..., None, None] * lap_h_phi[..., None, None] * hess
-             - (self.eps / rho)[..., None, None] * np.einsum("...ma,ab,...bn->...mn", hess, self.g0_inv, hess)
-             + (0.25 / rho ** 2)[..., None, None] * np.einsum("...m,...n->...mn", drho, drho))
-        return lambda0, K, H, r, lap_h_phi
+        c = (amb.eps / rho)[..., None, None]
+        self.r = (c * lap_h_phi[..., None, None] * self.hess - c * self.hess_sq
+                  + (0.25 / rho ** 2)[..., None, None] * np.einsum("...m,...n->...mn", drho, drho))
 
     def conformal_curvature(self):
         """Ricci tensor and scalar of g from the generic curvature engine."""
-        comp, d1, d2 = matrix_jets_to_arrays(self.g)
-        _, ric, scal, _ = ricci_arrays(comp, d1, d2)
+        _, ric, scal, _ = ricci_arrays(*self.g_arrays)
         return ric, scal
 
 
@@ -205,17 +204,16 @@ def _frame_at(spec: SurfaceSpec, p) -> SurfaceFrame:
 def sample(spec: SurfaceSpec, p) -> TwoMetricSample:
     """Every 2-surface quantity at one admissible point."""
     fr = _frame_at(spec, p)
-    lambda0, K, H, r, _ = fr.curvature_quantities()
     return TwoMetricSample(
-        h=fr.matrix_values(fr.h)[0],
+        h=fr.h_values[0],
         rho=float(fr.rho.value[0]),
-        h_inv=fr.matrix_values(fr.h_inv)[0],
-        g=fr.matrix_values(fr.g)[0],
-        g_inv=fr.matrix_values(fr.g_inv)[0],
-        r=r[0],
-        K=float(K[0]),
-        H=float(H[0]),
-        lambda0=float(lambda0[0]),
+        h_inv=fr.h_inv_values[0],
+        g=fr.g_arrays[0][0],
+        g_inv=_grab(fr.g_inv, 0, 0)[0],
+        r=fr.r[0],
+        K=float(fr.K[0]),
+        H=float(fr.H[0]),
+        lambda0=float(fr.lambda0[0]),
         xi1=float(fr.xi[0].value[0]),
         xi2=float(fr.xi[1].value[0]),
         w1=float(fr.w[0].value[0]),
@@ -225,17 +223,17 @@ def sample(spec: SurfaceSpec, p) -> TwoMetricSample:
 
 
 def gaussian_K(spec: SurfaceSpec, p) -> float:
-    return float(_frame_at(spec, p).curvature_quantities()[1][0])
+    return float(_frame_at(spec, p).K[0])
 
 
 def mean_curvature(spec: SurfaceSpec, p) -> float:
     """H = rho^{-1/2} h^{mu nu} phi_{,mu nu}; zero exactly on minimal graphs."""
-    return float(_frame_at(spec, p).curvature_quantities()[2][0])
+    return float(_frame_at(spec, p).H[0])
 
 
 def ricci_two(spec: SurfaceSpec, p) -> np.ndarray:
     """Ricci tensor of the induced metric h at p."""
-    return _frame_at(spec, p).curvature_quantities()[3][0]
+    return _frame_at(spec, p).r[0]
 
 
 def check_identities(spec: SurfaceSpec, p, consts: CheckConstants | None = None) -> dict:
@@ -285,6 +283,14 @@ def _abs_max(*arrays):
     return np.max(np.stack([np.abs(np.asarray(a)) for a in arrays]), axis=0)
 
 
+def _tensor_check(*terms, rank=2):
+    """BatchCheck of sum(terms) = 0 for tensors of the given rank: per point, the
+    max over the tensor axes of |sum| and of the elementwise largest |term|."""
+    axes = tuple(range(-rank, 0))
+    return BatchCheck.dense(np.abs(sum(terms[1:], terms[0])).max(axis=axes),
+                            _abs_max(*terms).max(axis=axes))
+
+
 def _masked_log(j: Jet3, ok) -> Jet3:
     """log of a jet whose base is replaced by 1 wherever ``ok`` is False."""
     return jets.log(Jet3(np.where(ok, j.c, 1.0)))
@@ -292,12 +298,9 @@ def _masked_log(j: Jet3, ok) -> Jet3:
 
 def run_identity_checks(fr: SurfaceFrame, consts: CheckConstants) -> dict:
     """Evaluate all identity checks over the frame's point batch."""
-    eps, g0, g0i, D = fr.eps, fr.g0, fr.g0_inv, fr.det_g0
+    eps, g0, D = fr.eps, fr.g0, fr.det_g0
     rho, sr = fr.rho.value, fr.sr.value
-    hess = fr.hessian()
-    hv = fr.matrix_values(fr.h)
-    hinv_v = fr.matrix_values(fr.h_inv)
-    lambda0, K, _H, r, _ = fr.curvature_quantities()
+    hess, lambda0, K, r = fr.hess, fr.lambda0, fr.K, fr.r
     R_ab, R = fr.conformal_curvature()
     s, ginv = fr.sqrt_det_g, fr.g_inv  # the conformal metric g, for every Laplacian
     checks = {}
@@ -307,23 +310,14 @@ def run_identity_checks(fr: SurfaceFrame, consts: CheckConstants) -> dict:
     B = np.einsum("...ab,...mg->...ambg", hess, hess)
     C = lambda0[..., None, None, None, None] * (np.einsum("am,bg->ambg", g0, g0)
                                                 - np.einsum("ab,gm->ambg", g0, g0))
-    axes = (-4, -3, -2, -1)
-    checks["P1"] = BatchCheck.dense(np.abs(A - B + C).max(axis=axes),
-                                    _abs_max(A, B, C).max(axis=axes))
+    checks["P1"] = _tensor_check(A, -B, C, rank=4)
 
     # C1: phi^a_m phi_{,a n} - phi^a_a phi_{,m n} = lambda0 g0
-    M = np.einsum("mk,...kn->...mn", g0i, hess)
-    trM = np.einsum("...mm->...", M)
-    T1 = np.einsum("...ma,ab,...bn->...mn", hess, g0i, hess)
-    T2 = trM[..., None, None] * hess
-    T3 = lambda0[..., None, None] * g0
-    checks["C1"] = BatchCheck.dense(np.abs(T1 - T2 - T3).max(axis=(-2, -1)),
-                                    _abs_max(T1, T2, T3).max(axis=(-2, -1)))
+    checks["C1"] = _tensor_check(fr.hess_sq, -fr.trace_hess[..., None, None] * hess,
+                                 -lambda0[..., None, None] * g0)
 
     # C2a: r = (K/2) h ; C2b: lambda0 = -(eps/2) rho^2 K
-    T = 0.5 * K[..., None, None] * hv
-    checks["C2a"] = BatchCheck.dense(np.abs(r - T).max(axis=(-2, -1)),
-                                     _abs_max(r, T).max(axis=(-2, -1)))
+    checks["C2a"] = _tensor_check(r, -0.5 * K[..., None, None] * fr.h_values)
     T = 0.5 * eps * rho ** 2 * K
     checks["C2b"] = BatchCheck.dense(lambda0 + T, _abs_max(lambda0, T))
 
@@ -337,17 +331,14 @@ def run_identity_checks(fr: SurfaceFrame, consts: CheckConstants) -> dict:
     # P3a: R + (1/4) g^{ab} tr[d_a g^{-1} d_b g], the scalar condition
     # defining the admissible 2-metric class
     ginv_v, dginv, _ = matrix_jets_to_arrays(ginv)
-    dg = matrix_jets_to_arrays(fr.g)[1]
-    trterm = 0.25 * np.einsum("...ab,...aij,...bji->...", ginv_v, dginv, dg)
+    trterm = 0.25 * np.einsum("...ab,...aij,...bji->...", ginv_v, dginv, fr.g_arrays[1])
     checks["P3a"] = BatchCheck.dense(R + trterm, _abs_max(R, trterm))
 
     # P3b: R_ab = -((rho-1)/2) r_ab
-    T = 0.5 * (rho - 1.0)[..., None, None] * r
-    checks["P3b"] = BatchCheck.dense(np.abs(R_ab + T).max(axis=(-2, -1)),
-                                     _abs_max(R_ab, T).max(axis=(-2, -1)))
+    checks["P3b"] = _tensor_check(R_ab, 0.5 * (rho - 1.0)[..., None, None] * r)
 
     # P3c: R = sqrt(rho) r - 2 lap_g psi0 (trace of the conformal relation)
-    r_scalar = np.einsum("...mn,...mn->...", hinv_v, r)
+    r_scalar = np.einsum("...mn,...mn->...", fr.h_inv_values, r)
     lap_psi0, lap_psi0_scale = _laplace_terms(s, ginv, fr.psi0)
     checks["P3c"] = BatchCheck.dense(R - sr * r_scalar + 2.0 * lap_psi0,
                                      _abs_max(R, sr * r_scalar, 2.0 * lap_psi0_scale))

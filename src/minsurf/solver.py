@@ -7,8 +7,8 @@ Solves the quasilinear equation
 
 on a rectangle with Dirichlet data, using second-order central stencils
 (9-point), an analytically assembled sparse Jacobian, direct sparse solves
-and Armijo backtracking; a line search stalled at the operator's rounding
-floor ends converged.  Solutions serialize to the plain-text ``minsurf v1``
+and Armijo backtracking; an iterate whose residual is at the operator's
+rounding floor ends converged.  Solutions serialize to the plain-text ``minsurf v1``
 format and feed the verification pipeline through ``grid_jets``, the
 finite-difference jets at the nodes nearest to arrays of points.
 """
@@ -166,14 +166,17 @@ def solve_minimal(boundary, ambient: AmbientMetric, grid=(65, 65),
     """Damped Newton iteration from the Coons-patch initial guess.
 
     ``boundary(x, y)`` supplies Dirichlet values on the rectangle edge
-    (vectorized).  Residual history records the interior max norm.  A line
-    search that stalls at the operator's rounding floor also converges.
+    (vectorized).  Residual history records the interior max norm.  The
+    iteration converges once that norm is below ``tol`` or at most the
+    operator's rounding floor on the current iterate.
     """
     nx, ny = grid
     if nx < 3 or ny < 3:
         raise ValueError("grid must be at least 3x3")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be non-negative, got {max_iter!r}")
     x0, x1, y0, y1 = domain
     sol = GridSolution(nx, ny, (x0, x1), (y0, y1),
                        np.zeros((nx, ny)), ambient)
@@ -184,10 +187,12 @@ def solve_minimal(boundary, ambient: AmbientMetric, grid=(65, 65),
     _check_rho(U, ambient, hx, hy)
     F = _residual(U, ambient, hx, hy)
     history = [float(np.abs(F).max())]
-    at_floor = False
-    for _ in range(max_iter):
-        if history[-1] < tol:
+    for it in range(max_iter + 1):
+        if history[-1] < tol or history[-1] <= _rounding_floor(U, ambient, hx, hy):
             break
+        if it == max_iter:
+            sol.values, sol.residual_history = U, history
+            raise NoConvergence(f"residual {history[-1]:.3e} after {max_iter} iterations", sol)
         J = _jacobian(U, ambient, hx, hy)
         try:
             delta = splinalg.spsolve(J, -F.ravel())
@@ -207,19 +212,13 @@ def solve_minimal(boundary, ambient: AmbientMetric, grid=(65, 65),
                 break
             lam *= 0.5
         else:
-            at_floor = history[-1] <= _rounding_floor(U, ambient, hx, hy)
-            if at_floor:
-                break
             sol.values, sol.residual_history = U, history
             raise NoConvergence("line search stalled", sol)
         U, F = U_try, F_try
         _check_rho(U, ambient, hx, hy)
         history.append(float(np.abs(F).max()))
 
-    sol.values, sol.residual_history = U, history
-    sol.converged = at_floor or history[-1] < tol
-    if not sol.converged:
-        raise NoConvergence(f"residual {history[-1]:.3e} after {max_iter} iterations", sol)
+    sol.values, sol.residual_history, sol.converged = U, history, True
     return sol
 
 

@@ -200,13 +200,34 @@ def test_solve_linear_quick_convergence(capsys, tmp_path):
 
 def test_solve_stops_at_rounding_floor(capsys, tmp_path):
     # the Coons patch of a plane is exact; its round-off residual sits above
-    # --tol 1e-14, so the line search stalls there and that counts as converged
+    # --tol 1e-14 but at the operator's rounding floor, which counts as converged
     path = tmp_path / "plane.minsurf"
     code, out, err = run(capsys, "solve", "--boundary", "linear:0.3,1.7,-2.5",
                          "--grid", "65,65", "--tol", "1e-14", "--out", str(path))
     assert code == 0 and err == ""
     assert json.loads(out.strip().splitlines()[-1])["residual"] > 1e-14
     assert load_solution(path).converged
+
+
+def test_solve_stops_as_soon_as_it_reaches_rounding_floor(capsys, tmp_path):
+    # iterate 2 is at 6.5e-13, under the floor but above --tol 1e-14: no
+    # further Newton step can lower it, so the solve ends there
+    path = tmp_path / "s65.minsurf"
+    code, out, err = run(capsys, "solve", "--boundary", "scherk", "--grid", "65,65",
+                         "--tol", "1e-14", "--out", str(path))
+    assert code == 0 and err == ""
+    assert len(out.strip().splitlines()) == 3
+    assert load_solution(path).converged
+
+
+@pytest.mark.parametrize("flags", [("--tol", "inf"), ("--tol", "nan"), ("--max-iter", "-3")])
+def test_solve_bad_tol_or_max_iter_exit2(capsys, tmp_path, flags):
+    path = tmp_path / "s.minsurf"
+    code, out, err = run(capsys, "solve", "--boundary", "scherk", "--grid", "33,33", *flags,
+                         "--out", str(path))
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    assert not path.exists()
 
 
 def test_solve_catalog_boundary_catenoid(capsys, tmp_path):
@@ -279,6 +300,12 @@ def test_readme_commands_parse():
             parser.parse_args(cli._normalize_argv(argv))
         except SystemExit:
             pytest.fail(f"README command does not parse: minsurf {shlex.join(argv)}")
+
+
+def test_readme_python_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
 
 
 def test_readme_curvature_examples_run(capsys):

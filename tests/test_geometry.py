@@ -6,8 +6,8 @@ from conftest import interior_points
 
 from minsurf import geometry2d, jets, surfaces
 from minsurf.geometry2d import (CHECK_NAMES, CheckConstants, SurfaceFrame, check_identities,
-                                gaussian_K, laplace_beltrami, ricci_two, run_identity_checks,
-                                sample)
+                                gaussian_K, laplace_beltrami, matrix_jets_to_arrays, mean_curvature,
+                                ricci_two, run_identity_checks, sample)
 from minsurf.jets import DomainError, Jet3
 from minsurf.surfaces import SurfaceSpec, bi_wave, nonminimal_x2, plane, scherk
 
@@ -178,6 +178,28 @@ def test_laplace_scherk_psi0_vs_fd_divergence():
 # identity suite
 # -------------------------------------------------------------------------
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("spec", surfaces.catalog(), ids=lambda s: s.name)
+def test_point_readers_equal_batched_frame(spec):
+    """sample, gaussian_K, mean_curvature and ricci_two at point k are the
+    batched frame's arrays at index k, bit for bit."""
+    fr = frame_at_points(spec, 6, seed=43)
+    g_inv = geometry2d._grab(fr.g_inv, 0, 0)
+    for k in range(fr.x.size):
+        p = (fr.x[k], fr.y[k])
+        s = sample(spec, p)
+        for got, want in ((s.h, fr.h_values[k]), (s.h_inv, fr.h_inv_values[k]), (s.g, fr.g_arrays[0][k]),
+                          (s.g_inv, g_inv[k]), (s.r, fr.r[k]), (s.K, fr.K[k]), (s.H, fr.H[k]),
+                          (s.lambda0, fr.lambda0[k]), (s.rho, fr.rho.value[k]),
+                          (gaussian_K(spec, p), fr.K[k]), (mean_curvature(spec, p), fr.H[k]),
+                          (ricci_two(spec, p), fr.r[k])):
+            assert same_bits(got, want), (spec.name, k)
+
+
 def test_plane_identities_all_vanish():
     for name, res in check_identities(plane(), (0.6, -0.3)).items():
         assert res.skipped is None, name
@@ -258,9 +280,8 @@ def test_nonminimal_failures_and_universal_identities():
 def test_p3c_engine_scalar_relation():
     # R(engine on g) = sqrt(rho) * tr_h(r) - 2 lap_g psi0 to 1e-9
     fr = frame_at_points(scherk(), 50, seed=31)
-    _, _, _, r, _ = fr.curvature_quantities()
     _, R = fr.conformal_curvature()
-    r_scalar = np.einsum("pmn,pmn->p", fr.matrix_values(fr.h_inv), r)
+    r_scalar = np.einsum("pmn,pmn->p", fr.h_inv_values, fr.r)
     lap = laplace_beltrami(fr.g, fr.psi0)
     assert np.abs(R - np.sqrt(fr.rho.value) * r_scalar + 2.0 * lap).max() < 1e-9
 
@@ -275,11 +296,12 @@ def test_convention_factor_calibration():
 
     fr = frame_at_points(scherk(), 25, seed=37)
     _, R = fr.conformal_curvature()
-    dg = np.stack([fr.matrix_values([[jets.deriv(fr.g[m][n], e) for n in range(2)] for m in range(2)])
+    dg = np.stack([matrix_jets_to_arrays([[jets.deriv(fr.g[m][n], e) for n in range(2)] for m in range(2)])[0]
                    for e in range(2)], axis=1)
-    dginv = np.stack([fr.matrix_values([[jets.deriv(fr.g_inv[m][n], e) for n in range(2)] for m in range(2)])
+    dginv = np.stack([matrix_jets_to_arrays([[jets.deriv(fr.g_inv[m][n], e) for n in range(2)]
+                                             for m in range(2)])[0]
                       for e in range(2)], axis=1)
-    trterm = np.einsum("pab,paij,pbji->p", fr.matrix_values(fr.g_inv), dginv, dg)
+    trterm = np.einsum("pab,paij,pbji->p", matrix_jets_to_arrays(fr.g_inv)[0], dginv, dg)
     implied = (-0.25 * trterm) / R
     np.testing.assert_allclose(implied, 1.0, rtol=1e-9)
 
