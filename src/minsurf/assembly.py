@@ -17,13 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .curvature import MetricJet, SingularMetric
+from .curvature import MetricJet, metric_eigenvalues
 from .geometry2d import SurfaceFrame, TwoMetricSample, _frame_at, matrix_jets_to_arrays
 from .jets import DomainError, Jet3
 from .surfaces import SurfaceSpec
-
-#: eigenvalues closer to zero than this are treated as singular
-EIGENVALUE_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -129,9 +126,7 @@ def assemble(spec: SurfaceSpec, cfg: AssemblyConfig, p) -> MetricJet:
 
 def signature_values(comp) -> np.ndarray:
     """Batched metric signature: (# positive - # negative eigenvalues)."""
-    ev = np.linalg.eigvalsh(comp)
-    if np.any(np.abs(ev) < EIGENVALUE_TOLERANCE):
-        raise SingularMetric("eigenvalue within tolerance of zero")
+    ev = metric_eigenvalues(comp)
     return (ev > 0).sum(axis=-1) - (ev < 0).sum(axis=-1)
 
 

@@ -3,6 +3,9 @@ curvature of a metric known together with its first and second derivatives
 along the first two coordinates (all remaining directions are flat by
 construction), plus an independent finite-difference Ricci oracle.
 
+``central_differences`` is the one 9-point stencil of the oracle and the
+solver; ``metric_eigenvalues`` is the one singularity rule.
+
 Index conventions: R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
 + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}, Ricci contracted on
 the first and third slots.  The round sphere then has positive scalar
@@ -56,6 +59,12 @@ class CurvatureReport:
     point: tuple
 
 
+#: smallest |eigenvalue| / largest of a regular metric.  Past a condition
+#: number of 1e10, g^{-1} may carry a relative error of 1e10 * 2.2e-16 =
+#: 2.2e-6, more than the 1e-7 Ricci tolerance can resolve; the acceptance
+#: sweep's worst ratio, 2.8e-8, keeps a factor of 280 above it
+SINGULAR_RCOND = 1e-10
+
 #: points per block of the batched Ricci computation at dim 8; bounds its peak memory
 RICCI_BLOCK = 512
 
@@ -73,10 +82,23 @@ def _pad(d):
     return full
 
 
+def metric_eigenvalues(comp):
+    """Eigenvalues of the symmetric metrics comp (..., dim, dim), ascending.
+
+    Raises SingularMetric when any metric is singular: an entry or an
+    eigenvalue is not finite, or min|lambda| <= SINGULAR_RCOND max|lambda|.
+    The rule is scale-free, so c g is singular exactly when g is.
+    """
+    ev = np.linalg.eigvalsh(comp)
+    size = np.abs(ev)
+    if (not (np.all(np.isfinite(comp)) and np.all(np.isfinite(ev)))
+            or np.any(size.min(axis=-1) <= SINGULAR_RCOND * size.max(axis=-1))):
+        raise SingularMetric("metric is singular: smallest |eigenvalue| vanishes next to the largest")
+    return ev
+
+
 def _inverse(comp):
-    det = np.linalg.det(comp)
-    if not np.all(np.isfinite(det)) or np.any(np.abs(det) < 1e-300):
-        raise SingularMetric("metric determinant vanishes")
+    metric_eigenvalues(comp)
     return np.linalg.inv(comp)
 
 
@@ -193,9 +215,19 @@ def sphere_metric(p, a=1.0) -> MetricJet:
     return MetricJet(2, comp, d1, d2, tuple(p))
 
 
+def central_differences(at, hx, hy):
+    """(D_x, D_y, D_xx, D_yy, D_xy) by second-order central differences,
+    where ``at(i, j)`` is the field shifted by (i hx, j hy), i, j in {-1, 0, 1}."""
+    return ((at(1, 0) - at(-1, 0)) / (2 * hx),
+            (at(0, 1) - at(0, -1)) / (2 * hy),
+            (at(1, 0) - 2 * at(0, 0) + at(-1, 0)) / hx ** 2,
+            (at(0, 1) - 2 * at(0, 0) + at(0, -1)) / hy ** 2,
+            (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4 * hx * hy))
+
+
 def ricci_fd(metric_field, p, step: float) -> np.ndarray:
-    """Independent Ricci oracle: second-order central differences of the
-    metric components, fed through the same tensor algebra.
+    """Independent Ricci oracle: ``central_differences`` of the metric
+    components at spacing ``step``, fed through the same tensor algebra.
 
     ``p = (x, y)`` holds scalars or equal-shape coordinate arrays, and
     ``metric_field(x, y)`` must return the component matrices with shape
@@ -204,14 +236,10 @@ def ricci_fd(metric_field, p, step: float) -> np.ndarray:
     """
     x, y = p
     s = float(step)
-    g = {(dx, dy): np.asarray(metric_field(x + dx, y + dy), dtype=float)
-         for dx in (-s, 0.0, s) for dy in (-s, 0.0, s)}
-    g0 = g[0.0, 0.0]
-    d1 = np.stack([(g[s, 0.0] - g[-s, 0.0]) / (2 * s),
-                   (g[0.0, s] - g[0.0, -s]) / (2 * s)], axis=-3)
-    dxx = (g[s, 0.0] - 2 * g0 + g[-s, 0.0]) / s ** 2
-    dyy = (g[0.0, s] - 2 * g0 + g[0.0, -s]) / s ** 2
-    dxy = (g[s, s] - g[s, -s] - g[-s, s] + g[-s, -s]) / (4 * s ** 2)
-    d2 = np.stack([np.stack([dxx, dxy], axis=-3), np.stack([dxy, dyy], axis=-3)], axis=-4)
-    _, ric, _, _ = ricci_arrays(g0, d1, d2)
+    g = {(i, j): np.asarray(metric_field(x + i * s, y + j * s), dtype=float)
+         for i in (-1, 0, 1) for j in (-1, 0, 1)}
+    gx, gy, gxx, gyy, gxy = central_differences(lambda i, j: g[i, j], s, s)
+    d1 = np.stack([gx, gy], axis=-3)
+    d2 = np.stack([np.stack([gxx, gxy], axis=-3), np.stack([gxy, gyy], axis=-3)], axis=-4)
+    _, ric, _, _ = ricci_arrays(g[0, 0], d1, d2)
     return ric

@@ -153,13 +153,15 @@ def _grab(m, i, j):
                      np.stack([m[1][0].partial(i, j), m[1][1].partial(i, j)], axis=-1)], axis=-2)
 
 
-def matrix_jets_to_arrays(m):
-    """Convert a 2x2 matrix of jets into (comp, d1, d2) engine arrays."""
-    comp = _grab(m, 0, 0)
-    d1 = np.stack([_grab(m, 1, 0), _grab(m, 0, 1)], axis=-3)
+def matrix_jets_to_arrays(m, order=2):
+    """Convert a 2x2 matrix of jets into (comp, d1, d2) engine arrays, or
+    into (comp, d1) at order 1."""
+    arrays = (_grab(m, 0, 0), np.stack([_grab(m, 1, 0), _grab(m, 0, 1)], axis=-3))
+    if order == 1:
+        return arrays
     d2 = np.stack([np.stack([_grab(m, 2, 0), _grab(m, 1, 1)], axis=-3),
                    np.stack([_grab(m, 1, 1), _grab(m, 0, 2)], axis=-3)], axis=-4)
-    return comp, d1, d2
+    return arrays + (d2,)
 
 
 def _inverse(m):
@@ -330,7 +332,7 @@ def run_identity_checks(fr: SurfaceFrame, consts: CheckConstants) -> dict:
 
     # P3a: R + (1/4) g^{ab} tr[d_a g^{-1} d_b g], the scalar condition
     # defining the admissible 2-metric class
-    ginv_v, dginv, _ = matrix_jets_to_arrays(ginv)
+    ginv_v, dginv = matrix_jets_to_arrays(ginv, order=1)
     trterm = 0.25 * np.einsum("...ab,...aij,...bji->...", ginv_v, dginv, fr.g_arrays[1])
     checks["P3a"] = BatchCheck.dense(R + trterm, _abs_max(R, trterm))
 

@@ -5,10 +5,10 @@ Solves the quasilinear equation
     [k2 + eps phi_y^2] phi_xx - 2 [k0 + eps phi_x phi_y] phi_xy
         + [k1 + eps phi_x^2] phi_yy = 0
 
-on a rectangle with Dirichlet data, using second-order central stencils
-(9-point), an analytically assembled sparse Jacobian, direct sparse solves
-and Armijo backtracking; an iterate whose residual is at the operator's
-rounding floor ends converged.  Solutions serialize to the plain-text ``minsurf v1``
+on a rectangle with Dirichlet data: ``curvature.central_differences`` once
+per grid function, a sparse Jacobian weighted by that stencil's response to
+unit impulses, direct sparse solves and Armijo backtracking; an iterate whose
+residual is at its rounding floor ends converged.  Solutions serialize to the plain-text ``minsurf v1``
 format and feed the verification pipeline through ``grid_jets``, the
 finite-difference jets at the nodes nearest to arrays of points.
 """
@@ -21,6 +21,7 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
 
+from .curvature import central_differences
 from .jets import IDX, NSLOTS, Jet3
 from .surfaces import AmbientMetric, SurfaceSpec
 
@@ -96,25 +97,19 @@ def _coons_patch(bound, xs, ys):
                + (1 - s) * t * c01 + s * t * c11))
 
 
-def _interior_derivs(U, hx, hy):
-    Ux = (U[2:, 1:-1] - U[:-2, 1:-1]) / (2 * hx)
-    Uy = (U[1:-1, 2:] - U[1:-1, :-2]) / (2 * hy)
-    Uxx = (U[2:, 1:-1] - 2 * U[1:-1, 1:-1] + U[:-2, 1:-1]) / hx ** 2
-    Uyy = (U[1:-1, 2:] - 2 * U[1:-1, 1:-1] + U[1:-1, :-2]) / hy ** 2
-    Uxy = (U[2:, 2:] - U[2:, :-2] - U[:-2, 2:] + U[:-2, :-2]) / (4 * hx * hy)
-    return Ux, Uy, Uxx, Uyy, Uxy
-
-
-def _residual(U, amb, hx, hy):
-    Ux, Uy, Uxx, Uyy, Uxy = _interior_derivs(U, hx, hy)
+def _operator(U, amb, hx, hy):
+    """At the interior nodes: the derivatives (U_x, U_y, U_xx, U_yy, U_xy),
+    the PDE coefficients (A, B, C) and the residual A U_xx + B U_xy + C U_yy."""
+    nx, ny = U.shape
+    Ux, Uy, Uxx, Uyy, Uxy = d = central_differences(
+        lambda i, j: U[1 + i:nx - 1 + i, 1 + j:ny - 1 + j], hx, hy)
     A, B, C = amb.pde_coefficients(Ux, Uy)
-    return A * Uxx + B * Uxy + C * Uyy
+    return d, (A, B, C), A * Uxx + B * Uxy + C * Uyy
 
 
-def _rounding_floor(U, amb, hx, hy):
+def _rounding_floor(U, coeffs, hx, hy):
     """Round-off bound of the residual on U: eps_mach times its terms in absolute value."""
-    Ux, Uy, _, _, _ = _interior_derivs(U, hx, hy)
-    A, B, C = amb.pde_coefficients(Ux, Uy)
+    A, B, C = coeffs
     a = np.abs(U)
     terms = (np.abs(A) * (a[2:, 1:-1] + 2 * a[1:-1, 1:-1] + a[:-2, 1:-1]) / hx ** 2
              + np.abs(B) * (a[2:, 2:] + a[2:, :-2] + a[:-2, 2:] + a[:-2, :-2]) / (4 * hx * hy)
@@ -122,36 +117,31 @@ def _rounding_floor(U, amb, hx, hy):
     return np.finfo(float).eps * float(terms.max())
 
 
-def _check_rho(U, amb, hx, hy):
-    Ux, Uy, _, _, _ = _interior_derivs(U, hx, hy)
-    rho = amb.rho(Ux, Uy)
+def _check_rho(d, amb):
+    rho = amb.rho(d[0], d[1])
     if rho.size and ((rho.min() <= 0.0 < rho.max()) or np.abs(rho).min() < 1e-12):
         raise SingularJacobian("discrete rho changes sign (degenerate induced metric)")
 
 
-def _jacobian(U, amb, hx, hy):
-    """Sparse Jacobian of the interior residual, assembled analytically."""
-    nx, ny = U.shape
-    mi, mj = nx - 2, ny - 2
-    Ux, Uy, Uxx, Uyy, Uxy = _interior_derivs(U, hx, hy)
-    A, B, C = amb.pde_coefficients(Ux, Uy)
-    I, J = np.meshgrid(np.arange(1, nx - 1), np.arange(1, ny - 1), indexing="ij")
+def _jacobian(d, coeffs, amb, hx, hy):
+    """Sparse Jacobian of the interior residual: each offset's stencil
+    weights are ``central_differences`` of a unit impulse there."""
+    Ux, Uy, Uxx, Uyy, Uxy = d
+    A, B, C = coeffs
+    mi, mj = Ux.shape
+    I, J = np.meshgrid(np.arange(1, mi + 1), np.arange(1, mj + 1), indexing="ij")
     rows_all = (I - 1) * mj + (J - 1)
 
     rows, cols, data = [], [], []
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
-            wx = di / (2 * hx) if dj == 0 else 0.0
-            wy = dj / (2 * hy) if di == 0 else 0.0
-            wxx = (1.0 / hx ** 2 if di != 0 else -2.0 / hx ** 2) if dj == 0 else 0.0
-            wyy = (1.0 / hy ** 2 if dj != 0 else -2.0 / hy ** 2) if di == 0 else 0.0
-            wxy = di * dj / (4 * hx * hy)
+            wx, wy, wxx, wyy, wxy = central_differences(lambda i, j: float((i, j) == (di, dj)), hx, hy)
             coeff = (A * wxx + B * wxy + C * wyy
                      + (2 * amb.eps * Uy * wy) * Uxx
                      + (-2 * amb.eps * (Uy * wx + Ux * wy)) * Uxy
                      + (2 * amb.eps * Ux * wx) * Uyy)
             ni, nj = I + di, J + dj
-            interior = (ni >= 1) & (ni <= nx - 2) & (nj >= 1) & (nj <= ny - 2)
+            interior = (ni >= 1) & (ni <= mi) & (nj >= 1) & (nj <= mj)
             rows.append(rows_all[interior])
             cols.append(((ni - 1) * mj + (nj - 1))[interior])
             data.append(coeff[interior])
@@ -184,16 +174,16 @@ def solve_minimal(boundary, ambient: AmbientMetric, grid=(65, 65),
     U = _coons_patch(lambda a, b: np.asarray(boundary(a, b), dtype=float), xs, ys)
     hx, hy = sol.hx, sol.hy
 
-    _check_rho(U, ambient, hx, hy)
-    F = _residual(U, ambient, hx, hy)
+    d, coeffs, F = _operator(U, ambient, hx, hy)
+    _check_rho(d, ambient)
     history = [float(np.abs(F).max())]
     for it in range(max_iter + 1):
-        if history[-1] < tol or history[-1] <= _rounding_floor(U, ambient, hx, hy):
+        if history[-1] < tol or history[-1] <= _rounding_floor(U, coeffs, hx, hy):
             break
         if it == max_iter:
             sol.values, sol.residual_history = U, history
             raise NoConvergence(f"residual {history[-1]:.3e} after {max_iter} iterations", sol)
-        J = _jacobian(U, ambient, hx, hy)
+        J = _jacobian(d, coeffs, ambient, hx, hy)
         try:
             delta = splinalg.spsolve(J, -F.ravel())
         except Exception as exc:
@@ -207,15 +197,15 @@ def solve_minimal(boundary, ambient: AmbientMetric, grid=(65, 65),
         for _halving in range(MAX_HALVINGS + 1):
             U_try = U.copy()
             U_try[1:-1, 1:-1] += lam * delta
-            F_try = _residual(U_try, ambient, hx, hy)
-            if float((F_try ** 2).sum()) <= (1.0 - ARMIJO_C * lam) * f0:
+            trial = _operator(U_try, ambient, hx, hy)
+            if float((trial[2] ** 2).sum()) <= (1.0 - ARMIJO_C * lam) * f0:
                 break
             lam *= 0.5
         else:
             sol.values, sol.residual_history = U, history
             raise NoConvergence("line search stalled", sol)
-        U, F = U_try, F_try
-        _check_rho(U, ambient, hx, hy)
+        U, (d, coeffs, F) = U_try, trial
+        _check_rho(d, ambient)
         history.append(float(np.abs(F).max()))
 
     sol.values, sol.residual_history, sol.converged = U, history, True

@@ -9,10 +9,12 @@ import math
 
 import numpy as np
 
-# closed-form graph functions, keyed by catalog name
+# closed-form graph functions, keyed by catalog name; "scherk" also takes
+# arrays, as the solver's Dirichlet data
 CLOSED_FORMS = {
     "plane": lambda x, y: 0.5 * x - 0.25 * y + 1.0,
-    "scherk": lambda x, y: math.log(math.cos(y)) - math.log(math.cos(x)),
+    "scherk": lambda x, y: (np.log(np.cos(np.asarray(y, dtype=float)))
+                            - np.log(np.cos(np.asarray(x, dtype=float)))),
     "helicoid": lambda x, y: math.atan2(y, x),
     "catenoid": lambda x, y: math.acosh(math.hypot(x, y)),
     "bi_wave": lambda x, y: math.sinh(x + y),

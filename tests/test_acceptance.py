@@ -11,7 +11,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-from conftest import interior_points
+from conftest import CLOSED_FORMS, interior_points
 
 from minsurf import assembly, curvature, solver, surfaces
 from minsurf.cli import draw_points, main
@@ -155,8 +155,7 @@ def test_criterion_7_solver_convergence():
     """O(h^2) error decay on the Scherk Dirichlet problem, exact linear
     reproduction, and shrinking grid-fed Ricci residuals."""
     with criterion(7, "Newton solver convergence orders"):
-        scherk_fn = lambda x, y: (np.log(np.cos(np.asarray(y, dtype=float)))
-                                  - np.log(np.cos(np.asarray(x, dtype=float))))
+        scherk_fn = CLOSED_FORMS["scherk"]
         errs = {}
         for n in (33, 65):
             sol = solver.solve_minimal(scherk_fn, surfaces.EUCLIDEAN, grid=(n, n))

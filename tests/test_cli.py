@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -348,6 +349,15 @@ def test_curvature_sphere(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["scalar"] == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("radius", [1e-80, 1e80])
+def test_curvature_sphere_at_extreme_scales(capsys, radius):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "curvature", "--metric", f"sphere:{radius:g}", "--point", "1.0,0.5")
+    assert code == 0 and err == ""
+    assert json.loads(out)["scalar"] == pytest.approx(2.0 / radius ** 2, rel=1e-12)
 
 
 def test_curvature_flat_and_assembled(capsys):

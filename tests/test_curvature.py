@@ -115,6 +115,32 @@ def test_singular_metric_raises():
         ricci(bad)
 
 
+@pytest.mark.parametrize("scale", [1e-40, 1e-12, 1.0, 1e40])
+def test_singularity_rule_is_scale_free(scale):
+    m = flat_metric((0.0, 0.0), signs=(1, 1, -1, 1, 1, 1, -1, 1))
+    comp = scale * m.components
+    rep = ricci(MetricJet(8, comp, m.d1, m.d2))
+    assert rep.max_abs_ricci == 0.0 and rep.scalar == 0.0
+    assert assembly.signature_values(comp) == 4
+    # rank-deficient at the same scale: one y-block repeats the x-block's first row
+    rank3 = scale * np.array([[1.0, 2.0, 0.0, 0.0], [2.0, 4.0, 0.0, 0.0],
+                              [0.0, 0.0, -1.0, 0.3], [0.0, 0.0, 0.3, 1.0]])
+    for bad in (np.zeros((8, 8)), rank3):
+        dim = bad.shape[0]
+        with pytest.raises(SingularMetric):
+            ricci(MetricJet(dim, bad, np.zeros((2, dim, dim)), np.zeros((2, 2, dim, dim))))
+        with pytest.raises(SingularMetric):
+            assembly.signature_values(bad)
+
+
+def test_singularity_rule_is_relative():
+    assert curvature.metric_eigenvalues(np.diag([1.0, 2e-10])).tolist() == [2e-10, 1.0]
+    with pytest.raises(SingularMetric):
+        curvature.metric_eigenvalues(np.diag([1.0, curvature.SINGULAR_RCOND]))
+    with pytest.raises(SingularMetric):
+        curvature.metric_eigenvalues(np.diag([1.0, np.inf]))
+
+
 # ---------------------------------------------------------------------------
 # byte identity of the live-index, blocked engine
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+from conftest import CLOSED_FORMS
 
-from minsurf import assembly, curvature, surfaces
+from minsurf import assembly, curvature, solver, surfaces
 from minsurf.jets import IDX
 from minsurf.solver import (NoConvergence, SingularJacobian, TooCloseToBoundary,
                             as_surface, grid_jets, load_solution, save_solution, solve_minimal)
-from minsurf.surfaces import EUCLIDEAN, LORENTZIAN
+from minsurf.surfaces import EUCLIDEAN, LORENTZIAN, AmbientMetric
 
-SCHERK = lambda x, y: np.log(np.cos(np.asarray(y, dtype=float))) - np.log(np.cos(np.asarray(x, dtype=float)))
+SCHERK = CLOSED_FORMS["scherk"]
 
 # 1-D central stencils over offsets -2..2 for derivative orders 0..3
 STENCILS = ([0.0, 0.0, 1.0, 0.0, 0.0], [0.0, -0.5, 0.0, 0.5, 0.0],
@@ -186,3 +188,129 @@ def test_grid_fed_ricci_residual_shrinks_under_refinement():
         rep = curvature.ricci(assembly.assemble(spec, cfg, (0.3, 0.2)))
         res[n] = rep.normalized_ricci
     assert res[65] / res[129] > 2.0
+
+
+# ---------------------------------------------------------------------------
+# the shared stencil: bits of the residual, the Jacobian and the floor
+# ---------------------------------------------------------------------------
+
+#: Euclidean, Lorentzian, a skew Euclidean one, and one with k0 != 0 and eps = -1
+AMBIENTS = (EUCLIDEAN, LORENTZIAN, AmbientMetric(2.0, 0.5, 0.3, 1), AmbientMetric(1.0, 2.0, 0.3, -1))
+
+
+def reference_derivs(U, hx, hy):
+    """The solver's former hand-written interior stencil."""
+    Ux = (U[2:, 1:-1] - U[:-2, 1:-1]) / (2 * hx)
+    Uy = (U[1:-1, 2:] - U[1:-1, :-2]) / (2 * hy)
+    Uxx = (U[2:, 1:-1] - 2 * U[1:-1, 1:-1] + U[:-2, 1:-1]) / hx ** 2
+    Uyy = (U[1:-1, 2:] - 2 * U[1:-1, 1:-1] + U[1:-1, :-2]) / hy ** 2
+    Uxy = (U[2:, 2:] - U[2:, :-2] - U[:-2, 2:] + U[:-2, :-2]) / (4 * hx * hy)
+    return Ux, Uy, Uxx, Uyy, Uxy
+
+
+def reference_residual(U, amb, hx, hy):
+    Ux, Uy, Uxx, Uyy, Uxy = reference_derivs(U, hx, hy)
+    A, B, C = amb.pde_coefficients(Ux, Uy)
+    return A * Uxx + B * Uxy + C * Uyy
+
+
+def reference_floor(U, amb, hx, hy):
+    Ux, Uy, _, _, _ = reference_derivs(U, hx, hy)
+    A, B, C = amb.pde_coefficients(Ux, Uy)
+    a = np.abs(U)
+    terms = (np.abs(A) * (a[2:, 1:-1] + 2 * a[1:-1, 1:-1] + a[:-2, 1:-1]) / hx ** 2
+             + np.abs(B) * (a[2:, 2:] + a[2:, :-2] + a[:-2, 2:] + a[:-2, :-2]) / (4 * hx * hy)
+             + np.abs(C) * (a[1:-1, 2:] + 2 * a[1:-1, 1:-1] + a[1:-1, :-2]) / hy ** 2)
+    return np.finfo(float).eps * float(terms.max())
+
+
+def reference_jacobian(U, amb, hx, hy):
+    """The solver's former Jacobian with hand-derived conditional weights."""
+    nx, ny = U.shape
+    mi, mj = nx - 2, ny - 2
+    Ux, Uy, Uxx, Uyy, Uxy = reference_derivs(U, hx, hy)
+    A, B, C = amb.pde_coefficients(Ux, Uy)
+    I, J = np.meshgrid(np.arange(1, nx - 1), np.arange(1, ny - 1), indexing="ij")
+    rows_all = (I - 1) * mj + (J - 1)
+    rows, cols, data = [], [], []
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            wx = di / (2 * hx) if dj == 0 else 0.0
+            wy = dj / (2 * hy) if di == 0 else 0.0
+            wxx = (1.0 / hx ** 2 if di != 0 else -2.0 / hx ** 2) if dj == 0 else 0.0
+            wyy = (1.0 / hy ** 2 if dj != 0 else -2.0 / hy ** 2) if di == 0 else 0.0
+            wxy = di * dj / (4 * hx * hy)
+            coeff = (A * wxx + B * wxy + C * wyy
+                     + (2 * amb.eps * Uy * wy) * Uxx
+                     + (-2 * amb.eps * (Uy * wx + Ux * wy)) * Uxy
+                     + (2 * amb.eps * Ux * wx) * Uyy)
+            ni, nj = I + di, J + dj
+            interior = (ni >= 1) & (ni <= nx - 2) & (nj >= 1) & (nj <= ny - 2)
+            rows.append(rows_all[interior])
+            cols.append(((ni - 1) * mj + (nj - 1))[interior])
+            data.append(coeff[interior])
+    return sparse.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(mi * mj, mi * mj)).tocsr()
+
+
+def spacing(shape, box):
+    return (box[1] - box[0]) / (shape[0] - 1), (box[3] - box[2]) / (shape[1] - 1)
+
+
+@pytest.mark.parametrize("shape, box", [((33, 33), (-1.0, 1.0, -1.0, 1.0)),
+                                        ((33, 41), (-1.0, 1.0, -1.0, 1.0)),
+                                        ((17, 23), (-0.3, 1.9, 0.25, 0.8)),
+                                        ((65, 65), (-1.0, 1.0, -1.0, 1.0))])
+def test_shared_stencil_keeps_residual_jacobian_and_floor_bits(shape, box):
+    hx, hy = spacing(shape, box)
+    X, Y = np.meshgrid(np.linspace(*box[:2], shape[0]), np.linspace(*box[2:], shape[1]), indexing="ij")
+    fields = (np.random.default_rng(shape[0] * shape[1]).uniform(-1.0, 1.0, shape),
+              0.7 - 1.3 * X + 0.4 * Y + 0.9 * X * Y,
+              np.zeros(shape))
+    for amb in AMBIENTS:
+        for U in fields:
+            d, coeffs, F = solver._operator(U, amb, hx, hy)
+            assert_bits_equal(F, reference_residual(U, amb, hx, hy))
+            J, want = solver._jacobian(d, coeffs, amb, hx, hy), reference_jacobian(U, amb, hx, hy)
+            for got, ref in ((J.data, want.data), (J.indices, want.indices), (J.indptr, want.indptr)):
+                assert_bits_equal(got, ref)
+            assert solver._rounding_floor(U, coeffs, hx, hy) == reference_floor(U, amb, hx, hy)
+
+
+@pytest.mark.parametrize("amb", [EUCLIDEAN, LORENTZIAN, AmbientMetric(1.0, 2.0, 0.3, -1)])
+def test_jacobian_is_derivative_of_residual(amb):
+    # F is cubic in U, so the central quotient errs by t^2/6 times F's third
+    # derivative along v: 4.5e-10 to 5.3e-10 of max |J v| on these three at
+    # t = 1e-5, against a 1e-8 gate; one wrong term in J is far above it
+    shape = (17, 23)
+    hx, hy = spacing(shape, (-0.3, 1.9, 0.25, 0.8))
+    rng = np.random.default_rng(5)
+    U = 0.3 * rng.uniform(-1.0, 1.0, shape)
+    v = np.zeros(shape)
+    v[1:-1, 1:-1] = rng.uniform(-1.0, 1.0, (shape[0] - 2, shape[1] - 2))
+    d, coeffs, _ = solver._operator(U, amb, hx, hy)
+    Jv = solver._jacobian(d, coeffs, amb, hx, hy) @ v[1:-1, 1:-1].ravel()
+    t = 1e-5
+    quotient = (solver._operator(U + t * v, amb, hx, hy)[2]
+                - solver._operator(U - t * v, amb, hx, hy)[2]).ravel() / (2 * t)
+    assert np.abs(Jv - quotient).max() <= 1e-8 * np.abs(Jv).max()
+
+
+def test_stencil_runs_once_per_grid_function(monkeypatch):
+    grids, impulses = [], []
+    real = solver.central_differences
+
+    def spy(at, hx, hy):
+        centre = at(0, 0)
+        (grids if np.ndim(centre) == 2 else impulses).append(np.array(centre))
+        return real(at, hx, hy)
+
+    monkeypatch.setattr(solver, "central_differences", spy)
+    sol = solve_minimal(SCHERK, EUCLIDEAN, grid=(65, 65))
+    # each Newton step of this solve takes the full step, so the grid
+    # functions evaluated are the Coons patch plus one trial per step
+    steps = len(sol.residual_history) - 1
+    assert steps >= 2 and len(grids) == steps + 1
+    assert not any(np.array_equal(a, b) for k, a in enumerate(grids) for b in grids[k + 1:])
+    np.testing.assert_array_equal(grids[-1], sol.values[1:-1, 1:-1])
+    assert len(impulses) == 9 * steps  # the weights of each Jacobian: one unit impulse per offset
