@@ -168,7 +168,7 @@ def run_verification(spec, cfg, samples=100, seed=42, tol=1e-7, oracle=False):
         per_check[name] = entry
 
     comp, d1, d2 = assembly.assemble_arrays(frame, cfg)
-    _, ric, _, denom = curvature.ricci_arrays(comp, d1, d2)
+    ric, _, denom = curvature.ricci_arrays(comp, d1, d2)
     max_abs = np.abs(ric).max(axis=(-2, -1))
     max_norm = max_abs / denom
     worst = int(np.argmax(max_norm))
@@ -220,6 +220,13 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose errors reach main's one-line handler (exit 2)."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _parse_params(pairs):
     params = {}
     for pair in pairs or []:
@@ -234,6 +241,8 @@ def _parse_params(pairs):
 
 
 def _parse_eps_blocks(text, n):
+    if text is None:
+        return (1,) * n
     try:
         eps = tuple(int(tok) for tok in str(text).split(","))
     except ValueError:
@@ -243,56 +252,38 @@ def _parse_eps_blocks(text, n):
     return eps
 
 
-def _load_config(path):
-    cfg = {}
+def _config_tokens(path):
+    """The flags a --config file spells, one per line: ``key = value`` is
+    ``--key=value`` and a bare ``key`` the switch ``--key``; ``_`` reads as ``-``."""
+    tokens = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise UsageError(f"bad config line {line!r}")
-            key, val = (tok.strip() for tok in line.split("=", 1))
-            cfg[key.replace("-", "_")] = val
-    return cfg
-
-
-def _resolved(args, config, key, cast, default):
-    val = getattr(args, key, None)
-    if val is None:
-        val = config.get(key, default)
-    return cast(val)
+            key, eq, val = (tok.strip() for tok in line.partition("="))
+            tokens.append("--" + key.replace("_", "-") + (f"={val}" if eq else ""))
+    return tokens
 
 
 def cmd_verify(args) -> int:
-    config = _load_config(args.config) if args.config else {}
-    surface = _resolved(args, config, "surface", str, "") or None
-    grid = _resolved(args, config, "grid", str, "") or None
-    n = _resolved(args, config, "n", int, 1)
-    eps_blocks = _parse_eps_blocks(_resolved(args, config, "eps_blocks", str, ",".join(["1"] * n)), n)
-    cfg = assembly.AssemblyConfig(
-        n=n, eps_blocks=eps_blocks,
-        e0=_resolved(args, config, "e0", float, 0.0),
-        m1=_resolved(args, config, "m1", float, 0.0),
-        n1=_resolved(args, config, "n1", float, 0.0))
-    samples = _resolved(args, config, "samples", int, 100)
-    seed = _resolved(args, config, "seed", int, 42)
-    tol = _resolved(args, config, "tol", float, 1e-7)
-    if samples < 1:
-        raise UsageError(f"--samples must be at least 1, got {samples}")
-    if not 0.0 < tol < np.inf:
-        raise UsageError(f"--tol must be a positive finite number, got {tol!r}")
+    cfg = assembly.AssemblyConfig(n=args.n, eps_blocks=_parse_eps_blocks(args.eps_blocks, args.n),
+                                  e0=args.e0, m1=args.m1, n1=args.n1)
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
+    if not 0.0 < args.tol < np.inf:
+        raise UsageError(f"--tol must be a positive finite number, got {args.tol!r}")
 
-    if (surface is None) == (grid is None):
+    if (args.surface is None) == (args.grid is None):
         raise UsageError("exactly one of --surface or --grid is required")
-    if grid is not None and args.oracle:
+    if args.grid is not None and args.oracle:
         raise UsageError("--oracle needs a smooth catalog surface, not --grid")
-    if surface is not None:
-        spec = surfaces.get(surface, _parse_params(args.param))
+    if args.surface is not None:
+        spec = surfaces.get(args.surface, _parse_params(args.param))
     else:
-        spec = solver.as_surface(solver.load_solution(grid), name=f"grid:{grid}")
+        spec = solver.as_surface(solver.load_solution(args.grid), name=f"grid:{args.grid}")
 
-    report = run_verification(spec, cfg, samples=samples, seed=seed, tol=tol,
+    report = run_verification(spec, cfg, samples=args.samples, seed=args.seed, tol=args.tol,
                               oracle=args.oracle)
     _emit(dumps(report), args.json)
     return 0 if report["pass"] else 1
@@ -342,9 +333,7 @@ def cmd_solve(args) -> int:
     boundary, boundary_file = _parse_boundary(args.boundary)
     if boundary_file is not None:
         ref = solver.load_solution(boundary_file)
-        if (ref.nx, ref.ny) != (nx, ny):
-            raise UsageError(f"boundary file grid {ref.nx}x{ref.ny} != requested {nx}x{ny}")
-        domain = (*ref.x_range, *ref.y_range)
+        nx, ny, domain = ref.nx, ref.ny, (*ref.x_range, *ref.y_range)
 
         def boundary(x, y):  # Dirichlet data read off the stored edge values
             i, j = ref.nearest_node(x, y)
@@ -428,7 +417,7 @@ def cmd_curvature(args) -> int:
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="minsurf",
         description="Construct and verify Ricci-flat block metrics from minimal graph surfaces.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -437,27 +426,29 @@ def build_parser():
     v.add_argument("--surface", help="catalog surface name")
     v.add_argument("--grid", help="minsurf v1 solution file to verify instead of a catalog surface")
     v.add_argument("--param", action="append", help="surface factory parameter key=value")
-    v.add_argument("--n", type=int, help="number of y-blocks (default 1)")
-    v.add_argument("--eps-blocks", dest="eps_blocks", help="comma list of +-1 block signs")
-    v.add_argument("--e0", type=float, help="exponential coefficient (default 0)")
-    v.add_argument("--m1", type=float, help="w1 weight exponent, m2 = -m1 (default 0)")
-    v.add_argument("--n1", type=float, help="w1 conformal-factor exponent, n2 = (n-1)/2 - n1 (default 0)")
-    v.add_argument("--samples", type=int, help="sample points (default 100)")
-    v.add_argument("--seed", type=int, help="sampling seed (default 42)")
-    v.add_argument("--tol", type=float, help="normalized Ricci tolerance (default 1e-7)")
+    v.add_argument("--n", type=int, default=1, help="number of y-blocks (default %(default)s)")
+    v.add_argument("--eps-blocks", dest="eps_blocks", help="comma list of +-1 block signs (default all 1)")
+    v.add_argument("--e0", type=float, default=0.0, help="exponential coefficient (default %(default)s)")
+    v.add_argument("--m1", type=float, default=0.0, help="w1 weight exponent, m2 = -m1 (default %(default)s)")
+    v.add_argument("--n1", type=float, default=0.0,
+                   help="w1 conformal-factor exponent, n2 = (n-1)/2 - n1 (default %(default)s)")
+    v.add_argument("--samples", type=int, default=100, help="sample points (default %(default)s)")
+    v.add_argument("--seed", type=int, default=42, help="sampling seed (default %(default)s)")
+    v.add_argument("--tol", type=float, default=1e-7, help="normalized Ricci tolerance (default %(default)s)")
     v.add_argument("--oracle", action="store_true", help="add finite-difference Ricci cross-check")
     v.add_argument("--json", help="also write the report to this path")
-    v.add_argument("--config", help="flat key=value config file (flags override)")
+    v.add_argument("--config", help="file of flags, one 'key = value' or bare switch per line (flags win)")
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("solve", help="solve a minimal-surface Dirichlet problem")
     s.add_argument("--boundary", required=True,
                    help="catalog surface NAME | linear:a,b,c | file:PATH (Dirichlet data)")
     s.add_argument("--ambient", default="1,1,0,1", help="k1,k2,k0,eps (default Euclidean)")
-    s.add_argument("--grid", default="65,65", help="NX,NY (default 65,65)")
-    s.add_argument("--domain", default="-1,1,-1,1", help="x0,x1,y0,y1 (default unit square)")
-    s.add_argument("--tol", type=float, default=1e-10)
-    s.add_argument("--max-iter", dest="max_iter", type=int, default=25)
+    s.add_argument("--grid", default="65,65", help="NX,NY (default %(default)s; file: boundaries use the file's)")
+    s.add_argument("--domain", default="-1,1,-1,1",
+                   help="x0,x1,y0,y1 (default unit square; file: boundaries use the file's)")
+    s.add_argument("--tol", type=float, default=1e-10, help="residual tolerance (default %(default)s)")
+    s.add_argument("--max-iter", dest="max_iter", type=int, default=25, help="Newton steps (default %(default)s)")
     s.add_argument("--out", required=True, help="output solution path")
     s.set_defaults(func=cmd_solve)
 
@@ -492,8 +483,12 @@ def _normalize_argv(argv):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_normalize_argv(sys.argv[1:] if argv is None else argv))
+    argv = _normalize_argv(sys.argv[1:] if argv is None else argv)
     try:
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # the file's flags go first, so the command line's own win
+            args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
         return args.func(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -141,27 +141,27 @@ def _ricci_block(comp, d1, d2):
     batch_axes = tuple(range(-4, 0)), tuple(range(-3, 0))
     denom = (1.0 + np.abs(d2).max(axis=batch_axes[0])
              + np.abs(gamma).max(axis=batch_axes[1]) ** 2)
-    return gamma, ricci, scalar, denom
+    return ricci, scalar, denom
 
 
 def ricci_arrays(comp, d1, d2):
     """Batched Ricci computation over any leading batch shape.
 
     comp is (..., dim, dim), d1 (..., 2, dim, dim) and d2 (..., 2, 2, dim, dim).
-    Returns (gamma, ricci, scalar, denom) where denom is the conditioning
-    scale 1 + max|d2 g| + max|Gamma|^2 used for normalized residuals.
+    Returns (ricci, scalar, denom) where denom is the conditioning scale
+    1 + max|d2 g| + max|Gamma|^2 used for normalized residuals; Gamma
+    itself comes from christoffel_arrays.
     """
     lead, dim = comp.shape[:-2], comp.shape[-1]
     comp = comp.reshape((-1, dim, dim))
     d1 = d1.reshape((-1, 2, dim, dim))
     d2 = d2.reshape((-1, 2, 2, dim, dim))
     P, step = comp.shape[0], block_points(dim)
-    gamma, ricci = np.empty((P, dim, dim, dim)), np.empty((P, dim, dim))
-    scalar, denom = np.empty(P), np.empty(P)
+    ricci, scalar, denom = np.empty((P, dim, dim)), np.empty(P), np.empty(P)
     for start in range(0, P, step):
         blk = slice(start, start + step)
-        gamma[blk], ricci[blk], scalar[blk], denom[blk] = _ricci_block(comp[blk], d1[blk], d2[blk])
-    return tuple(a.reshape(lead + a.shape[1:]) for a in (gamma, ricci, scalar, denom))
+        ricci[blk], scalar[blk], denom[blk] = _ricci_block(comp[blk], d1[blk], d2[blk])
+    return tuple(a.reshape(lead + a.shape[1:]) for a in (ricci, scalar, denom))
 
 
 def christoffel(m: MetricJet) -> np.ndarray:
@@ -170,10 +170,10 @@ def christoffel(m: MetricJet) -> np.ndarray:
 
 def ricci(m: MetricJet) -> CurvatureReport:
     """Full curvature report for one metric point."""
-    gamma, ric, scalar, denom = ricci_arrays(m.components, m.d1, m.d2)
+    ric, scalar, denom = ricci_arrays(m.components, m.d1, m.d2)
     max_abs = float(np.abs(ric).max())
     return CurvatureReport(
-        christoffel=gamma,
+        christoffel=christoffel_arrays(m.components, m.d1),
         ricci=ric,
         scalar=float(scalar),
         max_abs_ricci=max_abs,
@@ -241,5 +241,4 @@ def ricci_fd(metric_field, p, step: float) -> np.ndarray:
     gx, gy, gxx, gyy, gxy = central_differences(lambda i, j: g[i, j], s, s)
     d1 = np.stack([gx, gy], axis=-3)
     d2 = np.stack([np.stack([gxx, gxy], axis=-3), np.stack([gxy, gyy], axis=-3)], axis=-4)
-    _, ric, _, _ = ricci_arrays(g[0, 0], d1, d2)
-    return ric
+    return ricci_arrays(g[0, 0], d1, d2)[0]

@@ -94,7 +94,6 @@ class SurfaceFrame:
 
     def __init__(self, spec: SurfaceSpec, x, y):
         amb = spec.ambient
-        self.spec = spec
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
         self.g0 = amb.g0
@@ -143,7 +142,7 @@ class SurfaceFrame:
 
     def conformal_curvature(self):
         """Ricci tensor and scalar of g from the generic curvature engine."""
-        _, ric, scal, _ = ricci_arrays(*self.g_arrays)
+        ric, scal, _ = ricci_arrays(*self.g_arrays)
         return ric, scal
 
 

@@ -163,14 +163,6 @@ def cos(a: Jet3) -> Jet3:
     return _compose(a, c, -s, -c, s)
 
 
-def tan(a: Jet3) -> Jet3:
-    if np.any(np.cos(a.value) == 0.0):
-        raise DomainError("tan at a pole of cos")
-    t = np.tan(a.value)
-    u = 1.0 + t * t
-    return _compose(a, t, u, 2.0 * t * u, u * (2.0 + 6.0 * t * t))
-
-
 def exp(a: Jet3) -> Jet3:
     e = np.exp(a.value)
     return _compose(a, e, e, e, e)

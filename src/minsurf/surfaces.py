@@ -244,9 +244,3 @@ def minimal_residual(spec: SurfaceSpec, p) -> float:
     x, y = _as_batch(p)
     _require_admissible(spec, x, y)
     return float(residual_values(spec, x, y)[0])
-
-
-def rho_values(spec: SurfaceSpec, x, y) -> np.ndarray:
-    """rho = 1 + eps * g0^{mu nu} phi_mu phi_nu at each point."""
-    f = spec.phi_jet(x, y)
-    return spec.ambient.rho(f.partial(1, 0), f.partial(0, 1))

@@ -61,7 +61,7 @@ def test_criterion_1_ricci_flat_construction():
             for n in (1, 2, 3):
                 for cfg in sweep_configs(n):
                     comp, d1, d2 = assembly.assemble_arrays(fr, cfg)
-                    _, ric, _, denom = curvature.ricci_arrays(comp, d1, d2)
+                    ric, _, denom = curvature.ricci_arrays(comp, d1, d2)
                     resid = (np.abs(ric).max(axis=(-2, -1)) / denom).max()
                     assert resid < RICCI_TOL, (name, cfg, resid)
                     worst = max(worst, resid)
@@ -82,7 +82,7 @@ def test_criterion_2_negative_control():
         x, y, _, _ = draw_points(spec, cfg, 100, SEED)
         fr = SurfaceFrame(spec, x, y)
         comp, d1, d2 = assembly.assemble_arrays(fr, cfg)
-        _, ric, _, denom = curvature.ricci_arrays(comp, d1, d2)
+        ric, _, denom = curvature.ricci_arrays(comp, d1, d2)
         assert (np.abs(ric).max(axis=(-2, -1)) / denom).max() > 1e-2
         checks = run_identity_checks(fr, CheckConstants())
         assert checks["P5"].normalized.max() > 1e-3

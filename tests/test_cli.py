@@ -157,6 +157,41 @@ def test_verify_config_file_with_flag_override(capsys, tmp_path):
     assert rep["seed"] == 5
 
 
+def test_verify_config_file_reads_switches_paths_and_params(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"surface = plane\nsamples = 5\noracle\njson = {path}\nparam = a=2\n")
+    code, out, _ = run(capsys, "verify", "--config", str(cfgfile))
+    assert code == 0
+    assert json.loads(out)["oracle"]["points"] == 5
+    assert path.read_text() == out
+    strip = lambda s: re.sub(r'"wall_time_ms": \d+', "", s)
+    flags = ("--surface", "plane", "--samples", "5", "--oracle")
+    assert strip(out) == strip(run(capsys, "verify", *flags, "--param", "a=2")[1])
+    assert strip(out) != strip(run(capsys, "verify", *flags)[1])
+
+
+@pytest.mark.parametrize("line", ["sampels = 7", "samples = abc", "oracle = true"])
+def test_verify_bad_config_line_exit2(capsys, tmp_path, line):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"surface = plane\n{line}\n")
+    code, out, err = run(capsys, "verify", "--config", str(cfgfile))
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["verify", "--samples", "abc"], ["verify", "--bogus"],
+                                  ["solve", "--boundary", "scherk", "--tol", "abc", "--out", "OUT"],
+                                  ["solve", "--boundary", "scherk"],
+                                  ["curvature", "--metric", "flat"], []])
+def test_argparse_errors_one_line_exit2(capsys, tmp_path, argv):
+    path = tmp_path / "s.minsurf"
+    code, out, err = run(capsys, *(str(path) if a == "OUT" else a for a in argv))
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+    assert not path.exists()
+
+
 def test_verify_surface_params(capsys):
     code, rep, _ = verify_report(capsys, "--surface", "plane", "--param", "a=0",
                                  "--param", "b=0", "--samples", "5")
@@ -299,7 +334,7 @@ def test_readme_commands_parse():
     for argv in commands:
         try:
             parser.parse_args(cli._normalize_argv(argv))
-        except SystemExit:
+        except cli.UsageError:
             pytest.fail(f"README command does not parse: minsurf {shlex.join(argv)}")
 
 
@@ -336,11 +371,11 @@ def test_solve_boundary_file(capsys, tmp_path):
     ref = tmp_path / "ref.minsurf"
     run(capsys, "solve", "--boundary", "scherk", "--grid", "17,17", "--out", str(ref))
     out2 = tmp_path / "from_file.minsurf"
-    code, _, _ = run(capsys, "solve", "--boundary", f"file:{ref}", "--grid", "17,17",
-                     "--out", str(out2))
+    # the grid and the domain come from the file, whatever --grid says
+    code, _, _ = run(capsys, "solve", "--boundary", f"file:{ref}", "--out", str(out2))
     assert code == 0
-    from minsurf.solver import load_solution
     a, b = load_solution(ref), load_solution(out2)
+    assert (b.nx, b.ny, b.x_range, b.y_range) == (a.nx, a.ny, a.x_range, a.y_range)
     np.testing.assert_allclose(a.values, b.values, atol=1e-9)
 
 

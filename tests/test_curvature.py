@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,7 +150,8 @@ def test_singularity_rule_is_relative():
 def padded_ricci(comp, d1, d2):
     """Reference engine: d g and d^2 g padded out to all dim derivative
     directions, (..., dim, dim, dim, dim) intermediates, one pass over the
-    whole batch.  ricci_arrays must reproduce it bit for bit."""
+    whole batch.  ricci_arrays must reproduce its last three outputs bit
+    for bit, and christoffel_arrays its gamma."""
     dim = comp.shape[-1]
     gi = np.linalg.inv(comp)
     dfull = np.zeros(comp.shape[:-2] + (dim, dim, dim))
@@ -172,6 +175,7 @@ def padded_ricci(comp, d1, d2):
 
 
 def assert_bits_equal(got, want):
+    assert len(got) == len(want)
     for a, b in zip(got, want):
         a, b = np.asarray(a), np.asarray(b)
         assert a.shape == b.shape
@@ -198,14 +202,12 @@ MIXED_CONFIGS = [
 def test_ricci_arrays_bits_match_padded_reference(name, cfg):
     fr = sampled_frame(name, cfg, 40)
     comp, d1, d2 = assembly.assemble_arrays(fr, cfg)
-    want = padded_ricci(comp, d1, d2)
-    assert_bits_equal(curvature.ricci_arrays(comp, d1, d2), want)
-    assert_bits_equal([curvature.christoffel_arrays(comp, d1)], want[:1])
-    assert_bits_equal(curvature.ricci_arrays(comp[3], d1[3], d2[3]),
-                      padded_ricci(comp[3], d1[3], d2[3]))
-    # the dim-2 conformal call of the identity suite
-    g = geometry2d.matrix_jets_to_arrays(fr.g)
-    assert_bits_equal(curvature.ricci_arrays(*g), padded_ricci(*g))
+    # the whole batch, one point, and the identity suite's dim-2 conformal call
+    for comp, d1, d2 in [(comp, d1, d2), (comp[3], d1[3], d2[3]),
+                         geometry2d.matrix_jets_to_arrays(fr.g)]:
+        want = padded_ricci(comp, d1, d2)
+        assert_bits_equal(curvature.ricci_arrays(comp, d1, d2), want[1:])
+        assert_bits_equal([curvature.christoffel_arrays(comp, d1)], want[:1])
 
 
 def test_blocked_ricci_equals_one_block(monkeypatch):
@@ -221,6 +223,23 @@ def test_blocked_ricci_equals_one_block(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(curvature, "block_points", lambda dim: P)
                 assert_bits_equal(blocked, curvature.ricci_arrays(comp[:P], d1[:P], d2[:P]))
+
+
+def test_ricci_arrays_memory_grows_with_its_output_only():
+    # the per-block temporaries are bounded by block_points; past them the
+    # peak should grow by the returned arrays, not by a (P, dim, dim, dim) one
+    cfg = assembly.AssemblyConfig(3, (1, -1, 1), 0.3, 1.0, 0.5)
+    arrays = assembly.assemble_arrays(sampled_frame("scherk", cfg, 40), cfg)
+    peaks = []
+    for P in (512, 4096):
+        comp, d1, d2 = (np.resize(a, (P,) + a.shape[1:]) for a in arrays)
+        tracemalloc.start()
+        try:
+            curvature.ricci_arrays(comp, d1, d2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2 * 4096 * cfg.dim ** 2 * 8
 
 
 def test_block_points_keep_dim8_temporaries():

@@ -51,16 +51,6 @@ def test_mul_bilinear():
     assert np.count_nonzero(prod.c) == 4
 
 
-def test_tan_jet_at_zero():
-    # oracle: tan' = 1 + t^2, tan'' = 2t(1+t^2), tan''' = (1+t^2)(2+6t^2),
-    # so at 0 the third derivative is 2
-    t = jets.tan(Jet3.variable("x", 0.0))
-    expected = np.zeros(jets.NSLOTS)
-    expected[jets.IDX[(1, 0)]] = 1.0
-    expected[jets.IDX[(3, 0)]] = 2.0
-    np.testing.assert_allclose(t.c, expected, atol=1e-15)
-
-
 def test_sqrt_of_constant():
     s = jets.sqrt(Jet3.constant(4.0))
     assert s.value == 2.0

@@ -8,7 +8,7 @@ from minsurf import mean_curvature, surfaces
 from minsurf.jets import DomainError
 from minsurf.surfaces import (AmbientMetric, InadmissiblePoint, bi_wave, catalog, get,
                               minimal_residual, nonminimal_x2, plane,
-                              residual_values, rho_values, scherk)
+                              residual_values, scherk)
 
 MINIMAL = [s for s in catalog() if not s.non_minimal]
 
@@ -37,7 +37,8 @@ def test_bi_wave_identity_for_linear_profile():
 def test_plane_zero_tilt_rho_one():
     spec = plane(0.0, 0.0, 3.0)
     x = np.linspace(-1, 1, 7)
-    assert np.abs(rho_values(spec, x, x) - 1.0).max() == 0.0
+    f = spec.phi_jet(x, x)
+    assert np.abs(spec.ambient.rho(f.partial(1, 0), f.partial(0, 1)) - 1.0).max() == 0.0
 
 
 def test_residual_x2_is_two():
@@ -79,7 +80,7 @@ def test_euclidean_catalog_admissibility(spec):
     x = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])
     f = spec.phi_jet(x, y)
-    assert np.all(rho_values(spec, x, y) > 0.0)
+    assert np.all(spec.ambient.rho(f.partial(1, 0), f.partial(0, 1)) > 0.0)
     amb = spec.ambient
     assert np.all(np.abs(amb.k1 + amb.eps * f.partial(1, 0) ** 2) > 1e-12)
     assert np.all(np.abs(amb.k2 + amb.eps * f.partial(0, 1) ** 2) > 1e-12)
