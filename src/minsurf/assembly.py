@@ -17,10 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .curvature import MetricJet, metric_eigenvalues
-from .geometry2d import SurfaceFrame, TwoMetricSample, _frame_at, matrix_jets_to_arrays
-from .jets import DomainError, Jet3
-from .surfaces import SurfaceSpec
+from .curvature import metric_eigenvalues
+from .geometry2d import SurfaceFrame, matrix_jets_to_arrays
 
 
 @dataclass(frozen=True)
@@ -63,15 +61,6 @@ class AssemblyConfig:
         return (-2.0 * (self.m1 + self.n1), -2.0 * (self.m2 + self.n2), self.n1 + self.n2)
 
 
-def conformal_factor(sample: TwoMetricSample, cfg: AssemblyConfig, phi_value: float) -> float:
-    """e^{2 Phi} from an already-computed 2-surface sample."""
-    w1, w2, rho, phi = (Jet3.constant(v) for v in (sample.w1, sample.w2, sample.rho, phi_value))
-    out = _conformal_jet(w1, w2, rho, phi, cfg).value
-    if not np.all(np.isfinite(out)):
-        raise DomainError("conformal factor is not finite")
-    return float(out)
-
-
 def log_domain_ok(rho, w1, w2, cfg: AssemblyConfig):
     """Pointwise mask: every base raised to a non-integer exponent is positive."""
     ew1, ew2, erho = cfg.exponents
@@ -83,14 +72,11 @@ def log_domain_ok(rho, w1, w2, cfg: AssemblyConfig):
 
 
 def conformal_factor_jet(fr: SurfaceFrame, cfg: AssemblyConfig):
-    return _conformal_jet(fr.w[0], fr.w[1], fr.rho, fr.phi, cfg)
-
-
-def _conformal_jet(w1, w2, rho, phi, cfg: AssemblyConfig):
+    """Jet of e^{2 Phi} over the frame's batch."""
     ew1, ew2, erho = cfg.exponents
-    out = jets.powr(w1, ew1) * jets.powr(w2, ew2) * jets.powr(rho, erho)
+    out = jets.powr(fr.w[0], ew1) * jets.powr(fr.w[1], ew2) * jets.powr(fr.rho, erho)
     if cfg.e0 != 0.0:
-        out = out * jets.exp((2.0 * cfg.e0) * phi)
+        out = out * jets.exp((2.0 * cfg.e0) * fr.phi)
     return out
 
 
@@ -116,20 +102,8 @@ def assemble_arrays(fr: SurfaceFrame, cfg: AssemblyConfig):
     return comp, d1, d2
 
 
-def assemble(spec: SurfaceSpec, cfg: AssemblyConfig, p) -> MetricJet:
-    """Assembled 2+2n metric with exact jet derivatives at one point."""
-    fr = _frame_at(spec, p)
-    comp, d1, d2 = assemble_arrays(fr, cfg)
-    return MetricJet(dim=cfg.dim, components=comp[0], d1=d1[0], d2=d2[0],
-                     point=(float(fr.x[0]), float(fr.y[0])))
-
-
 def signature_values(comp) -> np.ndarray:
     """Batched metric signature: (# positive - # negative eigenvalues)."""
     ev = metric_eigenvalues(comp)
     return (ev > 0).sum(axis=-1) - (ev < 0).sum(axis=-1)
 
-
-def signature(spec: SurfaceSpec, cfg: AssemblyConfig, p) -> int:
-    m = assemble(spec, cfg, p)
-    return int(signature_values(m.components))

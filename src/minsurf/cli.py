@@ -278,6 +278,8 @@ def cmd_verify(args) -> int:
         raise UsageError("exactly one of --surface or --grid is required")
     if args.grid is not None and args.oracle:
         raise UsageError("--oracle needs a smooth catalog surface, not --grid")
+    if args.param and args.surface is None:
+        raise UsageError("--param sets a catalog surface's parameters; it needs --surface, not --grid")
     if args.surface is not None:
         spec = surfaces.get(args.surface, _parse_params(args.param))
     else:
@@ -391,7 +393,8 @@ def _parse_metric(text, point):
             n1=float(opts.pop("n1", "0")))
         if opts:
             raise UsageError(f"unknown assembled metric options {sorted(opts)}")
-        return assembly.assemble(surfaces.get(name), cfg, point)
+        arrays = assembly.assemble_arrays(geometry2d.frame_at(surfaces.get(name), point), cfg)
+        return tuple(a[0] for a in arrays)
     raise UsageError(f"unknown metric {text!r}")
 
 
@@ -400,17 +403,18 @@ def cmd_curvature(args) -> int:
         px, py = (float(t) for t in args.point.split(","))
     except ValueError:
         raise UsageError(f"bad --point {args.point!r}")
-    m = _parse_metric(args.metric, (px, py))
-    rep = curvature.ricci(m)
+    comp, d1, d2 = _parse_metric(args.metric, (px, py))
+    ric, scalar, denom = curvature.ricci_arrays(comp, d1, d2)
+    max_abs = float(np.abs(ric).max())
     report = {
         "metric": args.metric,
         "point": [px, py],
-        "dim": m.dim,
-        "christoffel": rep.christoffel.tolist(),
-        "ricci": rep.ricci.tolist(),
-        "scalar": rep.scalar,
-        "max_abs_ricci": rep.max_abs_ricci,
-        "normalized_ricci": rep.normalized_ricci,
+        "dim": comp.shape[-1],
+        "christoffel": curvature.christoffel_arrays(comp, d1).tolist(),
+        "ricci": ric.tolist(),
+        "scalar": float(scalar),
+        "max_abs_ricci": max_abs,
+        "normalized_ricci": max_abs / float(denom),
     }
     _emit(dumps(report), args.json)
     return 0

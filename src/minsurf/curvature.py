@@ -3,6 +3,11 @@ curvature of a metric known together with its first and second derivatives
 along the first two coordinates (all remaining directions are flat by
 construction), plus an independent finite-difference Ricci oracle.
 
+A metric with derivatives is one format throughout: the arrays (comp, d1,
+d2) of shapes (..., dim, dim), (..., 2, dim, dim) and (..., 2, 2, dim, dim)
+that ``assembly.assemble_arrays`` and the built-in test metrics return and
+``christoffel_arrays`` and ``ricci_arrays`` read.
+
 ``central_differences`` is the one 9-point stencil of the oracle and the
 solver; ``metric_eigenvalues`` is the one singularity rule.
 
@@ -25,38 +30,11 @@ tests/test_curvature.py compares against the padded reference engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
 class SingularMetric(ValueError):
     """Metric is not invertible (or numerically indistinguishable from it)."""
-
-
-@dataclass(frozen=True)
-class MetricJet:
-    """A metric at one point with derivatives along x^1, x^2.
-
-    components: (dim, dim) symmetric; d1[e] = d_e g; d2[e1, e2] = d_e1 d_e2 g.
-    Derivatives along all other coordinate directions vanish.
-    """
-
-    dim: int
-    components: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-    point: tuple = (0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class CurvatureReport:
-    christoffel: np.ndarray  # Gamma^a_{bc}, shape (dim, dim, dim)
-    ricci: np.ndarray        # R_{ab}, shape (dim, dim)
-    scalar: float
-    max_abs_ricci: float
-    normalized_ricci: float
-    point: tuple
 
 
 #: smallest |eigenvalue| / largest of a regular metric.  Past a condition
@@ -164,36 +142,18 @@ def ricci_arrays(comp, d1, d2):
     return tuple(a.reshape(lead + a.shape[1:]) for a in (ricci, scalar, denom))
 
 
-def christoffel(m: MetricJet) -> np.ndarray:
-    return christoffel_arrays(m.components, m.d1)
-
-
-def ricci(m: MetricJet) -> CurvatureReport:
-    """Full curvature report for one metric point."""
-    ric, scalar, denom = ricci_arrays(m.components, m.d1, m.d2)
-    max_abs = float(np.abs(ric).max())
-    return CurvatureReport(
-        christoffel=christoffel_arrays(m.components, m.d1),
-        ricci=ric,
-        scalar=float(scalar),
-        max_abs_ricci=max_abs,
-        normalized_ricci=max_abs / float(denom),
-        point=m.point,
-    )
-
-
 # ---------------------------------------------------------------------------
 # built-in test metrics with textbook curvature
 # ---------------------------------------------------------------------------
 
-def flat_metric(p, signs=(1, 1)) -> MetricJet:
-    """Constant diagonal metric; identically zero curvature."""
+def flat_metric(p, signs=(1, 1)):
+    """Constant diagonal metric, the same at every p; identically zero curvature."""
     dim = len(signs)
-    return MetricJet(dim, np.diag(np.asarray(signs, dtype=float)),
-                     np.zeros((2, dim, dim)), np.zeros((2, 2, dim, dim)), tuple(p))
+    return (np.diag(np.asarray(signs, dtype=float)),
+            np.zeros((2, dim, dim)), np.zeros((2, 2, dim, dim)))
 
 
-def polar_metric(p) -> MetricJet:
+def polar_metric(p):
     """diag(1, x^2): flat plane in polar form, x playing the radius."""
     x, _ = p
     comp = np.diag([1.0, x ** 2])
@@ -201,10 +161,10 @@ def polar_metric(p) -> MetricJet:
     d1[0, 1, 1] = 2.0 * x
     d2 = np.zeros((2, 2, 2, 2))
     d2[0, 0, 1, 1] = 2.0
-    return MetricJet(2, comp, d1, d2, tuple(p))
+    return comp, d1, d2
 
 
-def sphere_metric(p, a=1.0) -> MetricJet:
+def sphere_metric(p, a=1.0):
     """diag(a^2, a^2 sin^2 x): round sphere of radius a; scalar 2/a^2."""
     x, _ = p
     comp = np.diag([a ** 2, (a * np.sin(x)) ** 2])
@@ -212,7 +172,7 @@ def sphere_metric(p, a=1.0) -> MetricJet:
     d1[0, 1, 1] = a ** 2 * np.sin(2.0 * x)
     d2 = np.zeros((2, 2, 2, 2))
     d2[0, 0, 1, 1] = 2.0 * a ** 2 * np.cos(2.0 * x)
-    return MetricJet(2, comp, d1, d2, tuple(p))
+    return comp, d1, d2
 
 
 def central_differences(at, hx, hy):

@@ -8,10 +8,11 @@ the full identity suite (17 named checks) whose simultaneous vanishing on
 minimal surfaces is what the Ricci-flat construction rests on.
 
 ``SurfaceFrame`` is the one owner of these quantities for a batch of
-points: it holds the jets and computes the shared plain arrays once.  The
-identity suite, assembly and the single-point readers (``sample``,
-``gaussian_K``, ``mean_curvature``, ``ricci_two``, which read a one-point
-frame) take them from it.
+points: it holds the jets and computes the shared plain arrays once, and
+the identity suite and assembly take them from it.  ``frame_at`` is the
+screened entry point: it checks that every point is admissible and builds
+the frame; a single point is a batch of one, and callers read its fields
+(``K``, ``H``, ``r``, ``lambda0``, ...) at index 0.
 
 All divergence- and Laplacian-type checks are evaluated by jet propagation
 of the bracketed expressions, never by numerical differentiation; the
@@ -36,13 +37,11 @@ import numpy as np
 from . import jets
 from .curvature import SingularMetric, ricci_arrays
 from .jets import DomainError, Jet3, deriv
-from .surfaces import SurfaceSpec, _as_batch, _require_admissible
+from .surfaces import InadmissiblePoint, SurfaceSpec
 
 #: names of every identity check, in reporting order
 CHECK_NAMES = ("P1", "C1", "C2a", "C2b", "P2a", "P2b", "P3a", "P3b", "P3c",
                "P4a", "P4b", "P4c", "MU", "CC1", "XW", "P5", "PHI-H")
-
-SKIP_LOG_DOMAIN = "LOG_DOMAIN"
 
 
 @dataclass(frozen=True)
@@ -56,40 +55,14 @@ class CheckConstants:
     b2: float = -1.0
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    normalized: float | None
-    raw: float | None
-    skipped: str | None = None
-
-
-@dataclass(frozen=True)
-class TwoMetricSample:
-    """All 2-surface quantities at one point."""
-
-    h: np.ndarray
-    rho: float
-    h_inv: np.ndarray
-    g: np.ndarray
-    g_inv: np.ndarray
-    r: np.ndarray
-    K: float
-    H: float
-    lambda0: float
-    xi1: float
-    xi2: float
-    w1: float
-    w2: float
-    psi0: float
-
-
 class SurfaceFrame:
     """Batched jet workspace for a surface at an array of sample points.
 
-    It also owns the plain arrays that the identity suite, assembly and the
-    single-point readers share, each computed once here: the values of h
-    and h^{-1}, g's engine arrays, the Hessian of phi, lambda0, K, H and r.
-    Callers must have screened the points already: admissible and rho > 0.
+    It also owns the plain arrays that the identity suite and assembly
+    share, each computed once here: the values of h and h^{-1}, g's engine
+    arrays, the Hessian of phi, lambda0, K, H and r.  Callers must have
+    screened the points already (``frame_at`` does); rho <= 0 raises
+    DomainError.
     """
 
     def __init__(self, spec: SurfaceSpec, x, y):
@@ -120,7 +93,7 @@ class SurfaceFrame:
         self.xi = [self.g_inv[0][0], self.g_inv[1][1]]
         self.psi0 = -0.25 * self.log_rho
 
-        # plain arrays shared by the identity suite, assembly and the point readers
+        # plain arrays shared by the identity suite and assembly
         self.g_arrays = matrix_jets_to_arrays(self.g)  # (comp, d1, d2) for the Ricci engine
         self.h_values, self.h_inv_values = _grab(self.h, 0, 0), _grab(self.h_inv, 0, 0)
         self.hess = np.stack([np.stack([f.partial(2, 0), f.partial(1, 1)], axis=-1),
@@ -187,72 +160,14 @@ def _laplace_terms(s, inv, f: Jet3):
     return div / s.value, scale / np.abs(s.value)
 
 
-def laplace_beltrami(metric, f: Jet3):
-    """Laplace-Beltrami of f w.r.t. a 2x2 jet metric (value array)."""
-    return _laplace_terms(*_inverse(metric), f)[0]
-
-
-# ---------------------------------------------------------------------------
-# public single-point operations
-# ---------------------------------------------------------------------------
-
-def _frame_at(spec: SurfaceSpec, p) -> SurfaceFrame:
-    x, y = _as_batch(p)
-    _require_admissible(spec, x, y)
+def frame_at(spec: SurfaceSpec, p) -> SurfaceFrame:
+    """The frame at p = (x, y), scalars or equal-shape arrays, once every
+    point is in the surface's domain and admissible set (InadmissiblePoint
+    otherwise, for the whole batch)."""
+    x, y = (np.atleast_1d(np.asarray(c, dtype=float)) for c in p)
+    if not np.all(spec.in_domain(x, y) & spec.admissible(x, y)):
+        raise InadmissiblePoint(f"point outside admissible domain of {spec.name}")
     return SurfaceFrame(spec, x, y)
-
-
-def sample(spec: SurfaceSpec, p) -> TwoMetricSample:
-    """Every 2-surface quantity at one admissible point."""
-    fr = _frame_at(spec, p)
-    return TwoMetricSample(
-        h=fr.h_values[0],
-        rho=float(fr.rho.value[0]),
-        h_inv=fr.h_inv_values[0],
-        g=fr.g_arrays[0][0],
-        g_inv=_grab(fr.g_inv, 0, 0)[0],
-        r=fr.r[0],
-        K=float(fr.K[0]),
-        H=float(fr.H[0]),
-        lambda0=float(fr.lambda0[0]),
-        xi1=float(fr.xi[0].value[0]),
-        xi2=float(fr.xi[1].value[0]),
-        w1=float(fr.w[0].value[0]),
-        w2=float(fr.w[1].value[0]),
-        psi0=float(fr.psi0.value[0]),
-    )
-
-
-def gaussian_K(spec: SurfaceSpec, p) -> float:
-    return float(_frame_at(spec, p).K[0])
-
-
-def mean_curvature(spec: SurfaceSpec, p) -> float:
-    """H = rho^{-1/2} h^{mu nu} phi_{,mu nu}; zero exactly on minimal graphs."""
-    return float(_frame_at(spec, p).H[0])
-
-
-def ricci_two(spec: SurfaceSpec, p) -> np.ndarray:
-    """Ricci tensor of the induced metric h at p."""
-    return _frame_at(spec, p).r[0]
-
-
-def check_identities(spec: SurfaceSpec, p, consts: CheckConstants | None = None) -> dict:
-    """Residuals of the full identity suite at one point.
-
-    Checks whose logarithms are undefined at p (non-positive w or xi) come
-    back skipped rather than failed.
-    """
-    fr = _frame_at(spec, p)
-    batch = run_identity_checks(fr, consts or CheckConstants())
-    out = {}
-    for name in CHECK_NAMES:
-        res = batch[name]
-        if not bool(res.valid[0]):
-            out[name] = CheckResult(None, None, skipped=SKIP_LOG_DOMAIN)
-        else:
-            out[name] = CheckResult(float(res.normalized[0]), float(res.raw[0]))
-    return out
 
 
 # ---------------------------------------------------------------------------

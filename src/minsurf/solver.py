@@ -163,11 +163,13 @@ def solve_minimal(boundary, ambient: AmbientMetric, grid=(65, 65),
     nx, ny = grid
     if nx < 3 or ny < 3:
         raise ValueError("grid must be at least 3x3")
+    x0, x1, y0, y1 = domain
+    if not (-np.inf < x0 < x1 < np.inf and -np.inf < y0 < y1 < np.inf):
+        raise ValueError(f"domain needs finite x0 < x1 and y0 < y1, got {x0:g},{x1:g},{y0:g},{y1:g}")
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be non-negative, got {max_iter!r}")
-    x0, x1, y0, y1 = domain
     sol = GridSolution(nx, ny, (x0, x1), (y0, y1),
                        np.zeros((nx, ny)), ambient)
     xs, ys = sol.xs, sol.ys

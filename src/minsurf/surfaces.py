@@ -186,10 +186,6 @@ def nonminimal_x2() -> SurfaceSpec:
     return SurfaceSpec("nonminimal_x2", phi, EUCLIDEAN, (-1.0, 1.0, -1.0, 1.0), non_minimal=True)
 
 
-def catalog() -> list[SurfaceSpec]:
-    return [plane(), scherk(), helicoid(), catenoid(), bi_wave(), bi_wave(direction=-1), nonminimal_x2()]
-
-
 _FACTORIES = {
     "plane": plane,
     "scherk": scherk,
@@ -199,6 +195,11 @@ _FACTORIES = {
     "bi_wave_minus": functools.partial(bi_wave, direction=-1),
     "nonminimal_x2": nonminimal_x2,
 }
+
+
+def catalog() -> list[SurfaceSpec]:
+    """Every catalog surface with its default parameters, in registry order."""
+    return [factory() for factory in _FACTORIES.values()]
 
 
 def get(name: str, params: dict | None = None) -> SurfaceSpec:
@@ -221,26 +222,9 @@ def get(name: str, params: dict | None = None) -> SurfaceSpec:
     return factory(**params)
 
 
-def _as_batch(p):
-    x, y = p
-    return np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(y, dtype=float))
-
-
-def _require_admissible(spec: SurfaceSpec, x, y):
-    ok = spec.in_domain(x, y) & spec.admissible(x, y)
-    if not np.all(ok):
-        raise InadmissiblePoint(f"point outside admissible domain of {spec.name}")
-
-
 def residual_values(spec: SurfaceSpec, x, y) -> np.ndarray:
     """Minimal-surface residual at each point (arrays in, array out)."""
     f = spec.phi_jet(x, y)
     A, B, C = spec.ambient.pde_coefficients(f.partial(1, 0), f.partial(0, 1))
     return A * f.partial(2, 0) + B * f.partial(1, 1) + C * f.partial(0, 2)
 
-
-def minimal_residual(spec: SurfaceSpec, p) -> float:
-    """Pointwise residual of the explicit minimal-surface equation."""
-    x, y = _as_batch(p)
-    _require_admissible(spec, x, y)
-    return float(residual_values(spec, x, y)[0])

@@ -52,3 +52,9 @@ def interior_points(spec, count, seed, shrink=0.2):
         if spec.admissible(np.atleast_1d(x), np.atleast_1d(y))[0]:
             pts.append((x, y))
     return pts
+
+
+def interior_batch(spec, count, seed, shrink=0.2):
+    """interior_points as the coordinate arrays (x, y) of one batch."""
+    pts = interior_points(spec, count, seed, shrink)
+    return np.array([p[0] for p in pts]), np.array([p[1] for p in pts])

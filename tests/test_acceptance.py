@@ -15,7 +15,8 @@ from conftest import CLOSED_FORMS, interior_points
 
 from minsurf import assembly, curvature, solver, surfaces
 from minsurf.cli import draw_points, main
-from minsurf.geometry2d import CHECK_NAMES, CheckConstants, SurfaceFrame, run_identity_checks
+from minsurf.geometry2d import (CHECK_NAMES, CheckConstants, SurfaceFrame, frame_at,
+                                run_identity_checks)
 
 RICCI_FLAT_SURFACES = ("plane", "scherk", "helicoid", "catenoid", "bi_wave")
 SEED = 42
@@ -116,11 +117,10 @@ def test_criterion_4_oracle_agreement():
         cfg = assembly.AssemblyConfig(1, (1,), 0.0, 0.0, 0.0)
 
         def field(px, py):
-            fr = SurfaceFrame(spec, np.atleast_1d(px), np.atleast_1d(py))
-            return assembly.assemble_arrays(fr, cfg)[0][0]
+            return assembly.assemble_arrays(frame_at(spec, (px, py)), cfg)[0][0]
 
         for p in interior_points(spec, 3, seed=SEED, shrink=0.25):
-            jet_ric = curvature.ricci(assembly.assemble(spec, cfg, p)).ricci
+            jet_ric = curvature.ricci_arrays(*assembly.assemble_arrays(frame_at(spec, p), cfg))[0][0]
             d_coarse = np.abs(curvature.ricci_fd(field, p, 1e-3) - jet_ric).max()
             d_fine = np.abs(curvature.ricci_fd(field, p, 5e-4) - jet_ric).max()
             assert d_coarse < 1e-4, p
@@ -132,23 +132,24 @@ def test_criterion_5_curvature_engine_calibration():
     give zero Ricci to 1e-12."""
     with criterion(5, "engine calibration on textbook metrics"):
         for a in (0.5, 1.0, 2.0):
-            rep = curvature.ricci(curvature.sphere_metric((1.0, 0.7), a=a))
-            assert abs(rep.scalar - 2.0 / a ** 2) <= 1e-10 * (2.0 / a ** 2)
-        assert np.abs(curvature.ricci(curvature.flat_metric((0.0, 0.0))).ricci).max() < 1e-12
-        assert np.abs(curvature.ricci(curvature.polar_metric((1.3, 0.2))).ricci).max() < 1e-12
+            scalar = curvature.ricci_arrays(*curvature.sphere_metric((1.0, 0.7), a=a))[1]
+            assert abs(scalar - 2.0 / a ** 2) <= 1e-10 * (2.0 / a ** 2)
+        assert np.abs(curvature.ricci_arrays(*curvature.flat_metric((0.0, 0.0)))[0]).max() < 1e-12
+        assert np.abs(curvature.ricci_arrays(*curvature.polar_metric((1.3, 0.2)))[0]).max() < 1e-12
 
 
 def test_criterion_6_signature_formula():
     """Signature = 2 (1 + sum eps) for the Euclidean Scherk surface across
     all sign patterns with n <= 3, and 0 for the Born-Infeld wave."""
     with criterion(6, "signature matches the closed formula"):
-        scherk = surfaces.get("scherk")
-        wave = surfaces.get("bi_wave")
+        scherk = frame_at(surfaces.get("scherk"), (0.3, 0.2))
+        wave = frame_at(surfaces.get("bi_wave"), (0.7, 0.5))
         for n in (1, 2, 3):
             for eps in itertools.product((1, -1), repeat=n):
                 cfg = assembly.AssemblyConfig(n, eps, 0.0, 0.0, 0.0)
-                assert assembly.signature(scherk, cfg, (0.3, 0.2)) == 2 * (1 + sum(eps))
-                assert assembly.signature(wave, cfg, (0.7, 0.5)) == 0
+                sig = assembly.signature_values(assembly.assemble_arrays(scherk, cfg)[0])
+                assert sig.tolist() == [2 * (1 + sum(eps))]
+                assert assembly.signature_values(assembly.assemble_arrays(wave, cfg)[0]).tolist() == [0]
 
 
 def test_criterion_7_solver_convergence():
@@ -172,9 +173,9 @@ def test_criterion_7_solver_convergence():
         resid = {}
         for n in (65, 129):
             sol = solver.solve_minimal(scherk_fn, surfaces.EUCLIDEAN, grid=(n, n))
-            spec = solver.as_surface(sol)
-            rep = curvature.ricci(assembly.assemble(spec, cfg, (0.3, 0.2)))
-            resid[n] = rep.normalized_ricci
+            fr = frame_at(solver.as_surface(sol), (0.3, 0.2))
+            ric, _, denom = curvature.ricci_arrays(*assembly.assemble_arrays(fr, cfg))
+            resid[n] = np.abs(ric).max() / denom[0]
         assert resid[65] / resid[129] > 2.0
 
 

@@ -3,15 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import interior_points
+from conftest import interior_batch
 
-from minsurf import assembly, curvature, geometry2d, surfaces
-from minsurf.assembly import (AssemblyConfig, assemble, conformal_factor,
-                              log_domain_ok, signature)
-from minsurf.geometry2d import SurfaceFrame, TwoMetricSample, sample
-from minsurf.jets import DomainError
-from minsurf.surfaces import bi_wave, plane, scherk
-
+from minsurf import curvature, surfaces
+from minsurf.assembly import (AssemblyConfig, assemble_arrays, conformal_factor_jet,
+                              log_domain_ok, signature_values)
+from minsurf.geometry2d import frame_at
+from minsurf.jets import DomainError, Jet3
+from minsurf.surfaces import SurfaceSpec, bi_wave, plane, scherk
 
 def test_config_constraints_and_dimension():
     cfg = AssemblyConfig(3, (1, -1, 1), 0.3, 0.7, 0.4)
@@ -34,37 +33,41 @@ def test_config_validation_errors():
 def test_conformal_factor_instanton_is_one():
     cfg = AssemblyConfig(1, (1,), 0.0, 0.0, 0.0)
     for spec in (scherk(), plane(), bi_wave()):
-        for x, y in interior_points(spec, 10, seed=2):
-            s = sample(spec, (x, y))
-            assert conformal_factor(s, cfg, 123.0) == 1.0
+        fr = frame_at(spec, interior_batch(spec, 10, seed=2))
+        assert np.all(conformal_factor_jet(fr, cfg).value == 1.0)
 
 
 def test_conformal_factor_plane_n3_closed_form():
     cfg = AssemblyConfig(3, (1, 1, 1), 0.0, 0.0, 1.0)  # n2 = 0
     spec = plane()  # constant gradient (0.5, -0.25)
-    s = sample(spec, (0.1, 0.9))
-    expected = s.rho ** 1.0 * s.w1 ** -2.0 * s.w2 ** 0.0
-    assert conformal_factor(s, cfg, 0.0) == pytest.approx(expected, rel=1e-14)
+    fr = frame_at(spec, (0.1, 0.9))
+    expected = fr.rho.value[0] ** 1.0 * fr.w[0].value[0] ** -2.0 * fr.w[1].value[0] ** 0.0
+    assert conformal_factor_jet(fr, cfg).value[0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_conformal_factor_scherk_n2_closed_form():
     cfg = AssemblyConfig(2, (1, 1), 0.0, 0.0, 0.5)  # n2 = 0
-    s = sample(scherk(), (0.3, 0.2))
-    expected = math.sqrt(s.rho) / (1.0 / math.cos(0.3) ** 2)
-    assert conformal_factor(s, cfg, 0.0) == pytest.approx(expected, rel=1e-13)
-    assert conformal_factor(s, cfg, 0.0) == pytest.approx(math.sqrt(1.13678) / (1 / math.cos(0.3) ** 2), abs=1e-5)
+    fr = frame_at(scherk(), (0.3, 0.2))
+    e2 = conformal_factor_jet(fr, cfg).value[0]
+    expected = math.sqrt(fr.rho.value[0]) / (1.0 / math.cos(0.3) ** 2)
+    assert e2 == pytest.approx(expected, rel=1e-13)
+    assert e2 == pytest.approx(math.sqrt(1.13678) / (1 / math.cos(0.3) ** 2), abs=1e-5)
 
 
 def test_conformal_factor_domain_error_on_negative_base():
-    bad = TwoMetricSample(h=np.eye(2), rho=1.0, h_inv=np.eye(2), g=np.eye(2),
-                          g_inv=np.eye(2), r=np.zeros((2, 2)), K=0.0, H=0.0,
-                          lambda0=0.0, xi1=1.0, xi2=1.0, w1=1.0, w2=-0.5, psi0=0.0)
+    # phi = x y over the Lorentzian ambient at (0.8, 1): w1 = 1 + y^2 = 2,
+    # w2 = x^2 - 1 = -0.36 < 0 and rho = 1 + y^2 - x^2 = 1.36
+    spec = SurfaceSpec("xy", lambda x, y: Jet3.variable("x", x) * Jet3.variable("y", y),
+                       surfaces.LORENTZIAN, (0.0, 2.0, 0.0, 2.0))
+    bad = frame_at(spec, (0.8, 1.0))
+    w1, w2, rho = bad.w[0].value[0], bad.w[1].value[0], bad.rho.value[0]
+    assert w2 < 0.0 < rho
     cfg = AssemblyConfig(2, (1, 1), 0.0, 0.0, 0.25)  # fractional w2 exponent
     with pytest.raises(DomainError):
-        conformal_factor(bad, cfg, 0.0)
+        conformal_factor_jet(bad, cfg)
     # integer exponents accept negative bases
     cfg_int = AssemblyConfig(3, (1, 1, 1), 0.0, 0.0, 0.5)  # exponents -1, -1, 1
-    assert conformal_factor(bad, cfg_int, 0.0) == pytest.approx(1.0 / (1.0 * -0.5), rel=1e-14)
+    assert conformal_factor_jet(bad, cfg_int).value[0] == pytest.approx(rho / (w1 * w2), rel=1e-14)
 
 
 def test_log_domain_mask():
@@ -78,21 +81,23 @@ def test_log_domain_mask():
 def test_assemble_plane_has_constant_metric():
     # w1, w2, rho and g are constant on a plane; with e0 = 0 the whole
     # assembled metric is constant (e0 != 0 makes e^{2 e0 phi} vary)
-    m = assemble(plane(), AssemblyConfig(2, (1, -1), 0.0, 1.0, 0.5), (0.3, -0.2))
-    assert np.abs(m.d1).max() == 0.0
-    assert np.abs(m.d2).max() == 0.0
-    assert m.dim == 6
-    varying = assemble(plane(), AssemblyConfig(2, (1, -1), 0.3, 1.0, 0.5), (0.3, -0.2))
-    assert np.abs(varying.d1).max() > 0.0
+    fr = frame_at(plane(), (0.3, -0.2))
+    comp, d1, d2 = assemble_arrays(fr, AssemblyConfig(2, (1, -1), 0.0, 1.0, 0.5))
+    assert np.abs(d1).max() == 0.0
+    assert np.abs(d2).max() == 0.0
+    assert comp.shape == (1, 6, 6)
+    varying = assemble_arrays(fr, AssemblyConfig(2, (1, -1), 0.3, 1.0, 0.5))
+    assert np.abs(varying[1]).max() > 0.0
 
 
 def test_assemble_scherk_instanton_blocks():
-    s = sample(scherk(), (0.3, 0.2))
-    m = assemble(scherk(), AssemblyConfig(1, (1,), 0.0, 0.0, 0.0), (0.3, 0.2))
+    fr = frame_at(scherk(), (0.3, 0.2))
+    comp = assemble_arrays(fr, AssemblyConfig(1, (1,), 0.0, 0.0, 0.0))[0]
+    g = fr.g_arrays[0][0]
     expected = np.zeros((4, 4))
-    expected[:2, :2] = s.g
-    expected[2:, 2:] = s.g
-    np.testing.assert_allclose(m.components, expected, rtol=1e-14, atol=1e-16)
+    expected[:2, :2] = g
+    expected[2:, 2:] = g
+    np.testing.assert_allclose(comp[0], expected, rtol=1e-14, atol=1e-16)
 
 
 def test_assemble_derivatives_match_finite_differences():
@@ -102,18 +107,18 @@ def test_assemble_derivatives_match_finite_differences():
     spec = scherk()
     cfg = AssemblyConfig(2, (1, -1), 0.3, 1.0, 0.25)
     p = (0.3, 0.2)
-    m = assemble(spec, cfg, p)
+    _, m_d1, m_d2 = (a[0] for a in assemble_arrays(frame_at(spec, p), cfg))
 
     def comp(x, y):
-        return assemble(spec, cfg, (x, y)).components
+        return assemble_arrays(frame_at(spec, (x, y)), cfg)[0][0]
 
     for axis in (0, 1):
         errs = {}
         for s in (1e-3, 1e-4):
             dp = (s, 0.0) if axis == 0 else (0.0, s)
             fd = (comp(p[0] + dp[0], p[1] + dp[1]) - comp(p[0] - dp[0], p[1] - dp[1])) / (2 * s)
-            errs[s] = np.abs(fd - m.d1[axis]).max()
-        scale = max(1.0, np.abs(m.d1[axis]).max())
+            errs[s] = np.abs(fd - m_d1[axis]).max()
+        scale = max(1.0, np.abs(m_d1[axis]).max())
         assert errs[1e-4] <= 1e-5 * scale
         assert errs[1e-3] > errs[1e-4]
 
@@ -127,10 +132,10 @@ def test_assemble_derivatives_match_finite_differences():
             else:
                 fd = (comp(p[0] + s, p[1] + s) - comp(p[0] + s, p[1] - s)
                       - comp(p[0] - s, p[1] + s) + comp(p[0] - s, p[1] - s)) / (4 * s ** 2)
-            errs[s] = np.abs(fd - m.d2[a, b]).max()
-        scale = max(1.0, np.abs(m.d2[a, b]).max())
+            errs[s] = np.abs(fd - m_d2[a, b]).max()
+        scale = max(1.0, np.abs(m_d2[a, b]).max())
         assert errs[1e-3] <= 1e-5 * scale  # 1e-4 second differences hit round-off
-        np.testing.assert_allclose(m.d2[a, b], m.d2[b, a])
+        np.testing.assert_allclose(m_d2[a, b], m_d2[b, a])
 
 
 def test_determinant_invariant():
@@ -141,11 +146,11 @@ def test_determinant_invariant():
         (bi_wave(), AssemblyConfig(3, (1, -1, 1), 0.0, 0.0, 0.25), (0.7, 0.5)),
     ]
     for spec, cfg, p in cases:
-        m = assemble(spec, cfg, p)
-        fr = geometry2d.SurfaceFrame(spec, np.atleast_1d(p[0]), np.atleast_1d(p[1]))
-        e2 = assembly.conformal_factor_jet(fr, cfg).value[0]
+        fr = frame_at(spec, p)
+        comp = assemble_arrays(fr, cfg)[0][0]
+        e2 = conformal_factor_jet(fr, cfg).value[0]
         predicted = e2 ** 2 * abs(spec.ambient.det) ** (1 + cfg.n)
-        assert abs(np.linalg.det(m.components)) == pytest.approx(predicted, rel=1e-10)
+        assert abs(np.linalg.det(comp)) == pytest.approx(predicted, rel=1e-10)
 
 
 def test_assembled_metrics_ricci_flat_spot_checks():
@@ -156,24 +161,27 @@ def test_assembled_metrics_ricci_flat_spot_checks():
         (plane(), AssemblyConfig(3, (1, -1, -1), 0.3, 1.0, 0.25), (0.1, 0.8)),
     ]
     for spec, cfg, p in cases:
-        rep = curvature.ricci(assemble(spec, cfg, p))
-        assert rep.normalized_ricci < 1e-12, spec.name
+        ric, _, denom = curvature.ricci_arrays(*assemble_arrays(frame_at(spec, p), cfg))
+        assert np.abs(ric).max() / denom[0] < 1e-12, spec.name
+
+
+def signatures(spec, cfg, p):
+    return signature_values(assemble_arrays(frame_at(spec, p), cfg)[0]).tolist()
 
 
 def test_signature_formula_and_constancy():
-    assert signature(scherk(), AssemblyConfig(1, (1,), 0.0, 0.0, 0.0), (0.3, 0.2)) == 4
-    assert signature(scherk(), AssemblyConfig(1, (-1,), 0.0, 0.0, 0.0), (0.3, 0.2)) == 0
-    assert signature(bi_wave(), AssemblyConfig(2, (1, -1), 0.0, 0.0, 0.0), (0.7, 0.5)) == 0
+    assert signatures(scherk(), AssemblyConfig(1, (1,), 0.0, 0.0, 0.0), (0.3, 0.2)) == [4]
+    assert signatures(scherk(), AssemblyConfig(1, (-1,), 0.0, 0.0, 0.0), (0.3, 0.2)) == [0]
+    assert signatures(bi_wave(), AssemblyConfig(2, (1, -1), 0.0, 0.0, 0.0), (0.7, 0.5)) == [0]
     # constant across admissible sample points for a fixed (spec, cfg);
     # catenoid is Euclidean (surface signature 2): 2 (1 - 1 + 1) = 2
     spec = surfaces.catenoid()
     cfg = AssemblyConfig(2, (-1, 1), 0.3, 1.0, 0.25)
-    sigs = {signature(spec, cfg, p) for p in interior_points(spec, 10, seed=9)}
-    assert sigs == {2}
+    assert signatures(spec, cfg, interior_batch(spec, 10, seed=9)) == [2] * 10
 
 
 def test_signature_all_eps_patterns_scherk_n2():
     for eps in itertools.product((1, -1), repeat=2):
         cfg = AssemblyConfig(2, eps, 0.0, 0.0, 0.0)
         expected = 2 * (1 + sum(eps))
-        assert signature(scherk(), cfg, (0.5, -0.4)) == expected
+        assert signatures(scherk(), cfg, (0.5, -0.4)) == [expected]

@@ -224,6 +224,15 @@ def test_verify_oracle_rejected_for_grids(capsys, tmp_path):
     assert code == 2
 
 
+def test_verify_param_rejected_for_grids(capsys, tmp_path):
+    # a grid has no factory parameters: --param would be dropped silently
+    path = tmp_path / "sol.minsurf"
+    run(capsys, "solve", "--boundary", "linear:1,0,0", "--grid", "17,17", "--out", str(path))
+    code, out, err = run(capsys, "verify", "--grid", str(path), "--samples", "5", "--param", "bogus=1")
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: --param")
+
+
 def test_solve_linear_quick_convergence(capsys, tmp_path):
     path = tmp_path / "lin.minsurf"
     code, out, _ = run(capsys, "solve", "--boundary", "linear:2,-1,0",
@@ -254,6 +263,17 @@ def test_solve_stops_as_soon_as_it_reaches_rounding_floor(capsys, tmp_path):
     assert code == 0 and err == ""
     assert len(out.strip().splitlines()) == 3
     assert load_solution(path).converged
+
+
+@pytest.mark.parametrize("domain", ["1,1,0,1", "1,0,0,1", "0,1,0.5,0.5", "0,1,1,0",
+                                    "0,inf,0,1", "nan,1,0,1"])
+def test_solve_degenerate_or_reversed_domain_exit2(capsys, tmp_path, domain):
+    path = tmp_path / "x.minsurf"
+    code, out, err = run(capsys, "solve", "--boundary", "linear:1,0,0", "--grid", "9,9",
+                         f"--domain={domain}", "--out", str(path))
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and "finite x0 < x1 and y0 < y1" in err
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("flags", [("--tol", "inf"), ("--tol", "nan"), ("--max-iter", "-3")])
@@ -327,7 +347,7 @@ def readme_commands():
             for block in blocks for line in block.splitlines() if line.startswith("minsurf ")]
 
 
-def test_readme_commands_parse():
+def test_readme_commands_parse(capsys, tmp_path, monkeypatch):
     commands = readme_commands()
     assert len(commands) == 10
     parser = cli.build_parser()
@@ -336,6 +356,13 @@ def test_readme_commands_parse():
             parser.parse_args(cli._normalize_argv(argv))
         except cli.UsageError:
             pytest.fail(f"README command does not parse: minsurf {shlex.join(argv)}")
+    # and they run as written, the solves first: the others read scherk65.minsurf;
+    # verify --grid gives its honest 1 (finite-difference jets)
+    monkeypatch.chdir(tmp_path)
+    for argv in sorted(commands, key=lambda argv: argv[0] != "solve"):
+        want = 1 if argv[:2] == ["verify", "--grid"] else 0
+        assert main(list(argv)) == want, f"minsurf {shlex.join(argv)}"
+    capsys.readouterr()
 
 
 def test_readme_python_example_runs():

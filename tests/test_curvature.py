@@ -4,42 +4,48 @@ import numpy as np
 import pytest
 
 from minsurf import assembly, cli, curvature, geometry2d, surfaces
-from minsurf.curvature import (MetricJet, SingularMetric, christoffel, flat_metric,
-                               polar_metric, ricci, ricci_fd, sphere_metric)
+from minsurf.curvature import (SingularMetric, christoffel_arrays, flat_metric, polar_metric,
+                               ricci_arrays, ricci_fd, sphere_metric)
+from minsurf.geometry2d import frame_at
+
+
+def assembled(spec, cfg, p):
+    """(comp, d1, d2) of the assembled metric at the one point p."""
+    return tuple(a[0] for a in assembly.assemble_arrays(frame_at(spec, p), cfg))
 
 
 def assembled_field(spec, cfg):
     def field(x, y):
-        fr = geometry2d.SurfaceFrame(spec, np.atleast_1d(x), np.atleast_1d(y))
-        return assembly.assemble_arrays(fr, cfg)[0][0]
+        return assembled(spec, cfg, (x, y))[0]
     return field
 
 
 def test_flat_metric_zero_curvature():
-    rep = ricci(flat_metric((0.0, 0.0), signs=(1, 1, -1, 1)))
-    assert np.abs(rep.christoffel).max() == 0.0
-    assert np.abs(rep.ricci).max() == 0.0
-    assert rep.scalar == 0.0
+    comp, d1, d2 = flat_metric((0.0, 0.0), signs=(1, 1, -1, 1))
+    ric, scalar, _ = ricci_arrays(comp, d1, d2)
+    assert np.abs(christoffel_arrays(comp, d1)).max() == 0.0
+    assert np.abs(ric).max() == 0.0
+    assert scalar == 0.0
 
 
 def test_polar_metric_textbook_christoffel():
     x = 1.7
-    gam = christoffel(polar_metric((x, 0.3)))
+    comp, d1, d2 = polar_metric((x, 0.3))
+    gam = christoffel_arrays(comp, d1)
     expected = np.zeros((2, 2, 2))
     expected[0, 1, 1] = -x        # Gamma^1_{22} = -x
     expected[1, 0, 1] = expected[1, 1, 0] = 1.0 / x  # Gamma^2_{12} = 1/x
     np.testing.assert_allclose(gam, expected, atol=1e-15)
-    rep = ricci(polar_metric((x, 0.3)))
-    assert np.abs(rep.ricci).max() < 1e-12
+    assert np.abs(ricci_arrays(comp, d1, d2)[0]).max() < 1e-12
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
 def test_sphere_ricci_and_scalar(a):
-    m = sphere_metric((1.0, 0.4), a=a)
-    rep = ricci(m)
+    comp, d1, d2 = sphere_metric((1.0, 0.4), a=a)
+    ric, scalar, _ = ricci_arrays(comp, d1, d2)
     # textbook: Ricci = metric / a^2, scalar = 2 / a^2
-    np.testing.assert_allclose(rep.ricci, m.components / a ** 2, rtol=1e-12, atol=1e-14)
-    assert rep.scalar == pytest.approx(2.0 / a ** 2, rel=1e-12)
+    np.testing.assert_allclose(ric, comp / a ** 2, rtol=1e-12, atol=1e-14)
+    assert scalar == pytest.approx(2.0 / a ** 2, rel=1e-12)
 
 
 def test_christoffel_symmetry_on_assembled_metrics():
@@ -48,24 +54,25 @@ def test_christoffel_symmetry_on_assembled_metrics():
     rng = np.random.default_rng(5)
     for _ in range(5):
         p = rng.uniform(-1.2, 1.2, size=2)
-        gam = christoffel(assembly.assemble(spec, cfg, p))
+        comp, d1, _ = assembled(spec, cfg, p)
+        gam = christoffel_arrays(comp, d1)
         np.testing.assert_allclose(gam, np.swapaxes(gam, 1, 2), atol=1e-14)
 
 
 def test_ricci_report_symmetry_and_normalization():
     spec = surfaces.catenoid()
     cfg = assembly.AssemblyConfig(3, (1, 1, -1), 0.3, 1.0, 0.5)
-    rep = ricci(assembly.assemble(spec, cfg, (1.6, 0.2)))
-    np.testing.assert_allclose(rep.ricci, rep.ricci.T, atol=1e-12)
-    assert rep.normalized_ricci <= rep.max_abs_ricci
+    ric, _, denom = ricci_arrays(*assembled(spec, cfg, (1.6, 0.2)))
+    np.testing.assert_allclose(ric, ric.T, atol=1e-12)
+    max_abs = np.abs(ric).max()
+    assert max_abs / denom <= max_abs
 
 
 def test_ricci_fd_richardson_on_sphere():
-    m = sphere_metric((1.1, 0.2), a=1.3)
-    exact = ricci(m).ricci
+    exact = ricci_arrays(*sphere_metric((1.1, 0.2), a=1.3))[0]
 
     def field(x, y):
-        return sphere_metric((x, y), a=1.3).components
+        return sphere_metric((x, y), a=1.3)[0]
 
     e1 = np.abs(ricci_fd(field, (1.1, 0.2), 1e-3) - exact).max()
     e2 = np.abs(ricci_fd(field, (1.1, 0.2), 5e-4) - exact).max()
@@ -94,13 +101,13 @@ def test_contracted_bianchi_diagnostic():
     p = (0.4, 0.3)
 
     def einstein(x, y):
-        m = assembly.assemble(spec, cfg, (x, y))
-        rep = ricci(m)
-        return rep.ricci - 0.5 * rep.scalar * m.components
+        comp, d1, d2 = assembled(spec, cfg, (x, y))
+        ric, scalar, _ = ricci_arrays(comp, d1, d2)
+        return ric - 0.5 * scalar * comp
 
-    m0 = assembly.assemble(spec, cfg, p)
-    gi = np.linalg.inv(m0.components)
-    gam = christoffel(m0)
+    comp0, d1_0, _ = assembled(spec, cfg, p)
+    gi = np.linalg.inv(comp0)
+    gam = christoffel_arrays(comp0, d1_0)
     s = 1e-4
     dT = np.zeros((4, 4, 4))
     dT[0] = (einstein(p[0] + s, p[1]) - einstein(p[0] - s, p[1])) / (2 * s)
@@ -112,17 +119,16 @@ def test_contracted_bianchi_diagnostic():
 
 
 def test_singular_metric_raises():
-    bad = MetricJet(2, np.zeros((2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2, 2, 2)))
     with pytest.raises(SingularMetric):
-        ricci(bad)
+        ricci_arrays(np.zeros((2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2, 2, 2)))
 
 
 @pytest.mark.parametrize("scale", [1e-40, 1e-12, 1.0, 1e40])
 def test_singularity_rule_is_scale_free(scale):
-    m = flat_metric((0.0, 0.0), signs=(1, 1, -1, 1, 1, 1, -1, 1))
-    comp = scale * m.components
-    rep = ricci(MetricJet(8, comp, m.d1, m.d2))
-    assert rep.max_abs_ricci == 0.0 and rep.scalar == 0.0
+    comp, d1, d2 = flat_metric((0.0, 0.0), signs=(1, 1, -1, 1, 1, 1, -1, 1))
+    comp = scale * comp
+    ric, scalar, _ = ricci_arrays(comp, d1, d2)
+    assert np.abs(ric).max() == 0.0 and scalar == 0.0
     assert assembly.signature_values(comp) == 4
     # rank-deficient at the same scale: one y-block repeats the x-block's first row
     rank3 = scale * np.array([[1.0, 2.0, 0.0, 0.0], [2.0, 4.0, 0.0, 0.0],
@@ -130,7 +136,7 @@ def test_singularity_rule_is_scale_free(scale):
     for bad in (np.zeros((8, 8)), rank3):
         dim = bad.shape[0]
         with pytest.raises(SingularMetric):
-            ricci(MetricJet(dim, bad, np.zeros((2, dim, dim)), np.zeros((2, 2, dim, dim))))
+            ricci_arrays(bad, np.zeros((2, dim, dim)), np.zeros((2, 2, dim, dim)))
         with pytest.raises(SingularMetric):
             assembly.signature_values(bad)
 

@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from conftest import interior_points
+from conftest import interior_batch
 
-from minsurf import geometry2d, jets, surfaces
-from minsurf.geometry2d import (CHECK_NAMES, CheckConstants, SurfaceFrame, check_identities,
-                                gaussian_K, laplace_beltrami, matrix_jets_to_arrays, mean_curvature,
-                                ricci_two, run_identity_checks, sample)
+from minsurf import assembly, curvature, geometry2d, jets, surfaces
+from minsurf.geometry2d import (CHECK_NAMES, CheckConstants, SurfaceFrame, frame_at,
+                                matrix_jets_to_arrays, run_identity_checks)
 from minsurf.jets import DomainError, Jet3
 from minsurf.surfaces import SurfaceSpec, bi_wave, nonminimal_x2, plane, scherk
 
@@ -15,51 +14,57 @@ MINIMAL = [s for s in surfaces.catalog() if not s.non_minimal]
 
 
 def frame_at_points(spec, count, seed):
-    pts = interior_points(spec, count, seed, shrink=0.0)
-    return SurfaceFrame(spec, np.array([p[0] for p in pts]), np.array([p[1] for p in pts]))
+    return SurfaceFrame(spec, *interior_batch(spec, count, seed, shrink=0.0))
+
+
+def laplace_beltrami(metric, f):
+    """Laplace-Beltrami of f w.r.t. a 2x2 jet metric (value array)."""
+    return geometry2d._laplace_terms(*geometry2d._inverse(metric), f)[0]
 
 
 # -------------------------------------------------------------------------
-# sample
+# one-point frames
 # -------------------------------------------------------------------------
 
 def test_sample_flat_plane():
-    s = sample(plane(0.0, 0.0, 0.0), (0.2, -0.4))
-    assert np.array_equal(s.h, np.eye(2)) and np.array_equal(s.g, np.eye(2))
-    assert s.rho == 1.0 and s.K == 0.0 and s.H == 0.0 and s.lambda0 == 0.0
-    assert s.w1 == 1.0 and s.w2 == 1.0 and s.psi0 == 0.0
-    assert np.abs(s.r).max() == 0.0
+    fr = frame_at(plane(0.0, 0.0, 0.0), (0.2, -0.4))
+    assert np.array_equal(fr.h_values[0], np.eye(2)) and np.array_equal(fr.g_arrays[0][0], np.eye(2))
+    assert fr.rho.value[0] == 1.0 and fr.K[0] == 0.0 and fr.H[0] == 0.0 and fr.lambda0[0] == 0.0
+    assert fr.w[0].value[0] == 1.0 and fr.w[1].value[0] == 1.0 and fr.psi0.value[0] == 0.0
+    assert np.abs(fr.r[0]).max() == 0.0
 
 
 def test_sample_scherk_closed_form():
-    s = sample(scherk(), (0.3, 0.2))
+    fr = frame_at(scherk(), (0.3, 0.2))
+    rho = fr.rho.value[0]
     tx, ty = math.tan(0.3), math.tan(0.2)
-    assert s.rho == pytest.approx(1.0 + tx ** 2 + ty ** 2, rel=1e-14)
-    assert s.rho == pytest.approx(1.13678, abs=5e-6)
-    assert s.w1 == pytest.approx(1.0 / math.cos(0.3) ** 2, rel=1e-14)
-    assert s.w2 == pytest.approx(1.0 / math.cos(0.2) ** 2, rel=1e-14)
+    assert rho == pytest.approx(1.0 + tx ** 2 + ty ** 2, rel=1e-14)
+    assert rho == pytest.approx(1.13678, abs=5e-6)
+    assert fr.w[0].value[0] == pytest.approx(1.0 / math.cos(0.3) ** 2, rel=1e-14)
+    assert fr.w[1].value[0] == pytest.approx(1.0 / math.cos(0.2) ** 2, rel=1e-14)
     # phi_x = tan x, phi_y = -tan y enter h off-diagonally
-    assert s.h[0, 1] == pytest.approx(-tx * ty, rel=1e-14)
-    assert s.psi0 == pytest.approx(-0.25 * math.log(s.rho), rel=1e-14)
+    assert fr.h_values[0, 0, 1] == pytest.approx(-tx * ty, rel=1e-14)
+    assert fr.psi0.value[0] == pytest.approx(-0.25 * math.log(rho), rel=1e-14)
 
 
 def test_sample_bi_wave_null_gradient():
     # F(u) = 2u: phi_x = phi_y = 2, Lorentzian rho = 1 + (4 - 4) = 1, g = h
-    s = sample(bi_wave(profile="linear", slope=2.0), (0.7, 0.5))
-    assert s.rho == 1.0
-    np.testing.assert_array_equal(s.g, s.h)
-    assert s.K == 0.0
+    fr = frame_at(bi_wave(profile="linear", slope=2.0), (0.7, 0.5))
+    assert fr.rho.value[0] == 1.0
+    np.testing.assert_array_equal(fr.g_arrays[0][0], fr.h_values[0])
+    assert fr.K[0] == 0.0
 
 
 @pytest.mark.parametrize("spec", MINIMAL, ids=lambda s: s.name)
 def test_sample_determinant_invariants(spec):
-    for x, y in interior_points(spec, 20, seed=11):
-        s = sample(spec, (x, y))
-        det0 = spec.ambient.det
-        assert np.linalg.det(s.h) == pytest.approx(det0 * s.rho, rel=1e-12)
-        assert np.linalg.det(s.g) == pytest.approx(det0, rel=1e-12)
-        assert np.abs(s.h @ s.h_inv - np.eye(2)).max() < 1e-12
-        assert np.abs(s.g @ s.g_inv - np.eye(2)).max() < 1e-12
+    fr = frame_at(spec, interior_batch(spec, 20, seed=11))
+    h, g = fr.h_values, fr.g_arrays[0]
+    g_inv = matrix_jets_to_arrays(fr.g_inv, order=1)[0]
+    det0 = spec.ambient.det
+    assert np.linalg.det(h) == pytest.approx(det0 * fr.rho.value, rel=1e-12)
+    assert np.linalg.det(g) == pytest.approx(np.full(20, det0), rel=1e-12)
+    assert np.abs(h @ fr.h_inv_values - np.eye(2)).max() < 1e-12
+    assert np.abs(g @ g_inv - np.eye(2)).max() < 1e-12
 
 
 def test_sample_rho_nonpositive_raises():
@@ -68,7 +73,7 @@ def test_sample_rho_nonpositive_raises():
 
     steep = SurfaceSpec("steep", phi, surfaces.LORENTZIAN, (-1, 1, -1, 1))
     with pytest.raises(DomainError):
-        sample(steep, (0.0, 0.0))  # rho = 1 - 4 < 0
+        frame_at(steep, (0.0, 0.0))  # rho = 1 - 4 < 0
 
 
 # -------------------------------------------------------------------------
@@ -76,39 +81,37 @@ def test_sample_rho_nonpositive_raises():
 # -------------------------------------------------------------------------
 
 def test_gaussian_K_plane_zero():
-    assert gaussian_K(plane(), (0.4, 0.4)) == 0.0
+    assert frame_at(plane(), (0.4, 0.4)).K[0] == 0.0
 
 
 def test_gaussian_K_scherk_closed_form():
     x, y = 0.3, 0.2
     rho = 1.0 + math.tan(x) ** 2 + math.tan(y) ** 2
     expected = -2.0 / (math.cos(x) ** 2 * math.cos(y) ** 2) / rho ** 2
-    assert gaussian_K(scherk(), (x, y)) == pytest.approx(expected, rel=1e-13)
-    assert gaussian_K(scherk(), (x, y)) == pytest.approx(-1.7655, abs=1e-4)
+    K = frame_at(scherk(), (x, y)).K[0]
+    assert K == pytest.approx(expected, rel=1e-13)
+    assert K == pytest.approx(-1.7655, abs=1e-4)
 
 
 def test_gaussian_K_wave_zero_any_profile():
     for profile in ("sinh", "linear"):
         spec = bi_wave(profile=profile)
-        for x, y in interior_points(spec, 10, seed=3):
-            assert abs(gaussian_K(spec, (x, y))) < 1e-14
+        assert np.abs(frame_at(spec, interior_batch(spec, 10, seed=3)).K).max() < 1e-14
 
 
 def test_ricci_two_plane_zero():
-    assert np.abs(ricci_two(plane(), (0.1, -0.9))).max() == 0.0
+    assert np.abs(frame_at(plane(), (0.1, -0.9)).r[0]).max() == 0.0
 
 
 def test_ricci_two_scherk_proportionality_oracle():
     # 2D identity r = (K/2) h, with K and h checked against closed forms above
-    s = sample(scherk(), (0.3, 0.2))
-    np.testing.assert_allclose(ricci_two(scherk(), (0.3, 0.2)), 0.5 * s.K * s.h,
-                               rtol=1e-12, atol=1e-14)
+    fr = frame_at(scherk(), (0.3, 0.2))
+    np.testing.assert_allclose(fr.r[0], 0.5 * fr.K[0] * fr.h_values[0], rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("spec", MINIMAL, ids=lambda s: s.name)
 def test_ricci_two_symmetric(spec):
-    for x, y in interior_points(spec, 10, seed=7):
-        r = ricci_two(spec, (x, y))
+    for r in frame_at(spec, interior_batch(spec, 10, seed=7)).r:
         assert abs(r[0, 1] - r[1, 0]) <= 1e-14 * max(1.0, np.abs(r).max())
 
 
@@ -185,25 +188,29 @@ def same_bits(a, b):
 
 @pytest.mark.parametrize("spec", surfaces.catalog(), ids=lambda s: s.name)
 def test_point_readers_equal_batched_frame(spec):
-    """sample, gaussian_K, mean_curvature and ricci_two at point k are the
-    batched frame's arrays at index k, bit for bit."""
-    fr = frame_at_points(spec, 6, seed=43)
-    g_inv = geometry2d._grab(fr.g_inv, 0, 0)
+    """A one-point frame_at frame at point k holds the batched frame's arrays
+    at index k, bit for bit, and so does the Ricci tensor of its assembled
+    metric."""
+    cfg = assembly.AssemblyConfig(3, (1, -1, 1), 0.3, 0.5, 0.25)
+    fr = frame_at(spec, interior_batch(spec, 6, seed=43, shrink=0.0))
+    ric, scalar, denom = curvature.ricci_arrays(*assembly.assemble_arrays(fr, cfg))
+    g_inv = matrix_jets_to_arrays(fr.g_inv, order=1)[0]
     for k in range(fr.x.size):
-        p = (fr.x[k], fr.y[k])
-        s = sample(spec, p)
-        for got, want in ((s.h, fr.h_values[k]), (s.h_inv, fr.h_inv_values[k]), (s.g, fr.g_arrays[0][k]),
-                          (s.g_inv, g_inv[k]), (s.r, fr.r[k]), (s.K, fr.K[k]), (s.H, fr.H[k]),
-                          (s.lambda0, fr.lambda0[k]), (s.rho, fr.rho.value[k]),
-                          (gaussian_K(spec, p), fr.K[k]), (mean_curvature(spec, p), fr.H[k]),
-                          (ricci_two(spec, p), fr.r[k])):
-            assert same_bits(got, want), (spec.name, k)
+        one = frame_at(spec, (fr.x[k], fr.y[k]))
+        one_ric, one_scalar, one_denom = curvature.ricci_arrays(*assembly.assemble_arrays(one, cfg))
+        for got, want in ((one.h_values, fr.h_values[k]), (one.h_inv_values, fr.h_inv_values[k]),
+                          (one.g_arrays[0], fr.g_arrays[0][k]),
+                          (matrix_jets_to_arrays(one.g_inv, order=1)[0], g_inv[k]),
+                          (one.r, fr.r[k]), (one.K, fr.K[k]), (one.H, fr.H[k]),
+                          (one.lambda0, fr.lambda0[k]), (one.rho.value, fr.rho.value[k]),
+                          (one_ric, ric[k]), (one_scalar, scalar[k]), (one_denom, denom[k])):
+            assert same_bits(got[0], want), (spec.name, k)
 
 
 def test_plane_identities_all_vanish():
-    for name, res in check_identities(plane(), (0.6, -0.3)).items():
-        assert res.skipped is None, name
-        assert res.normalized < 1e-12, name
+    for name, res in run_identity_checks(frame_at(plane(), (0.6, -0.3)), CheckConstants()).items():
+        assert res.valid[0], name
+        assert res.normalized[0] < 1e-12, name
 
 
 def test_scherk_identities_100_points():
@@ -231,11 +238,11 @@ def test_identities_random_constants(spec):
 def test_bi_wave_log_domain_skips():
     # xi1, xi2 < 0 on the Lorentzian wave: P4b must skip, CC1 must survive
     # through its mu branch, P4c/MU stay evaluated (w1, w2 > 0)
-    checks = check_identities(bi_wave(), (0.7, 0.5))
-    assert checks["P4b"].skipped == geometry2d.SKIP_LOG_DOMAIN
-    assert checks["CC1"].skipped is None and checks["CC1"].normalized < 1e-9
-    assert checks["P4c"].normalized < 1e-9
-    assert checks["MU"].normalized < 1e-9
+    checks = run_identity_checks(frame_at(bi_wave(), (0.7, 0.5)), CheckConstants())
+    assert not checks["P4b"].valid[0] and np.isnan(checks["P4b"].normalized[0])
+    assert checks["CC1"].valid[0] and checks["CC1"].normalized[0] < 1e-9
+    assert checks["P4c"].normalized[0] < 1e-9
+    assert checks["MU"].normalized[0] < 1e-9
 
 
 def test_mixed_log_domain_mask_matches_single_points():
@@ -254,27 +261,27 @@ def test_mixed_log_domain_mask_matches_single_points():
     batch = run_identity_checks(fr, CheckConstants())
     assert batch["P4c"].valid.tolist() == w_ok.tolist()
     for k in range(x.size):
-        single = check_identities(spec, (x[k], y[k]))
+        single = run_identity_checks(frame_at(spec, (x[k], y[k])), CheckConstants())
         for name in CHECK_NAMES:
             res, one = batch[name], single[name]
-            if one.skipped is None:
+            if one.valid[0]:
                 assert res.valid[k], name
-                assert res.raw[k] == one.raw and res.normalized[k] == one.normalized, name
+                assert res.raw[k] == one.raw[0] and res.normalized[k] == one.normalized[0], name
             else:
-                assert one.skipped == geometry2d.SKIP_LOG_DOMAIN
+                assert np.isnan(one.raw[0]) and np.isnan(one.normalized[0]), name
                 assert not res.valid[k], name
                 assert np.isnan(res.raw[k]) and np.isnan(res.normalized[k]), name
 
 
 def test_nonminimal_failures_and_universal_identities():
-    checks = check_identities(nonminimal_x2(), (0.5, 0.5))
+    checks = run_identity_checks(frame_at(nonminimal_x2(), (0.5, 0.5)), CheckConstants())
     # the sigma-model equation needs H = 0
-    assert checks["P5"].normalized > 1e-3
-    assert checks["P2a"].normalized > 1e-3
-    assert checks["PHI-H"].normalized > 1e-3
+    assert checks["P5"].normalized[0] > 1e-3
+    assert checks["P2a"].normalized[0] > 1e-3
+    assert checks["PHI-H"].normalized[0] > 1e-3
     # purely algebraic identities hold for any graph
     for name in ("P1", "C1", "C2a", "C2b", "XW"):
-        assert checks[name].normalized < 1e-12, name
+        assert checks[name].normalized[0] < 1e-12, name
 
 
 def test_p3c_engine_scalar_relation():
@@ -291,8 +298,8 @@ def test_convention_factor_calibration():
     condition (2) trivially, and on Scherk the factor implied by requiring
     it to vanish is unity."""
     tilted = plane(1.0, 0.0, 0.0)  # phi = x
-    res = check_identities(tilted, (0.2, 0.2))["P3a"]
-    assert res.normalized < 1e-12
+    res = run_identity_checks(frame_at(tilted, (0.2, 0.2)), CheckConstants())["P3a"]
+    assert res.normalized[0] < 1e-12
 
     fr = frame_at_points(scherk(), 25, seed=37)
     _, R = fr.conformal_curvature()

@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import interior_points
+from conftest import interior_batch, interior_points
 
-from minsurf import mean_curvature, surfaces
+from minsurf import frame_at, surfaces
 from minsurf.jets import DomainError
 from minsurf.surfaces import (AmbientMetric, InadmissiblePoint, bi_wave, catalog, get,
-                              minimal_residual, nonminimal_x2, plane,
-                              residual_values, scherk)
+                              SurfaceSpec, nonminimal_x2, plane, residual_values, scherk)
 
 MINIMAL = [s for s in catalog() if not s.non_minimal]
 
@@ -30,8 +29,7 @@ def test_catalog_entries_exactly_minimal(spec):
 
 def test_bi_wave_identity_for_linear_profile():
     spec = bi_wave(profile="linear", slope=2.0)
-    for x, y in interior_points(spec, 50, seed=2):
-        assert minimal_residual(spec, (x, y)) == 0.0
+    assert np.all(residual_values(spec, *interior_batch(spec, 50, seed=2)) == 0.0)
 
 
 def test_plane_zero_tilt_rho_one():
@@ -43,33 +41,31 @@ def test_plane_zero_tilt_rho_one():
 
 def test_residual_x2_is_two():
     # (1 + 0) * 2 - 0 + (1 + 4x^2) * 0 = 2 for any point
-    spec = nonminimal_x2()
-    for p in [(0.5, 0.5), (-0.3, 0.9), (0.0, 0.0)]:
-        assert minimal_residual(spec, p) == pytest.approx(2.0, abs=1e-14)
+    res = residual_values(nonminimal_x2(), np.array([0.5, -0.3, 0.0]), np.array([0.5, 0.9, 0.0]))
+    assert res == pytest.approx(np.full(3, 2.0), abs=1e-14)
 
 
 def test_residual_scherk_and_plane_zero():
-    assert abs(minimal_residual(scherk(), (0.3, 0.2))) < 1e-12
-    assert minimal_residual(plane(2.0, -1.0, 0.5), (0.1, -0.7)) == 0.0
+    assert abs(residual_values(scherk(), 0.3, 0.2)) < 1e-12
+    assert residual_values(plane(2.0, -1.0, 0.5), 0.1, -0.7) == 0.0
 
 
 def test_mean_curvature_examples():
-    assert abs(mean_curvature(scherk(), (0.3, 0.2))) < 1e-12
-    assert abs(mean_curvature(scherk(), (-1.1, 0.8))) < 1e-12
+    assert np.abs(frame_at(scherk(), ([0.3, -1.1], [0.2, 0.8])).H).max() < 1e-12
     # phi = x^2 at a critical point: rho = 1, h inverse = identity, H = 2
-    assert mean_curvature(nonminimal_x2(), (0.0, 0.4)) == pytest.approx(2.0, abs=1e-14)
-    assert mean_curvature(plane(), (0.2, 0.2)) == 0.0
+    assert frame_at(nonminimal_x2(), (0.0, 0.4)).H[0] == pytest.approx(2.0, abs=1e-14)
+    assert frame_at(plane(), (0.2, 0.2)).H[0] == 0.0
 
 
 def test_mean_curvature_proportional_to_residual():
     # H = residual / (det g0 * rho^{3/2}); the two are computed by
     # independent formulas, so this pins the factor structure numerically
     spec = nonminimal_x2()
-    for x, y in interior_points(spec, 20, seed=5):
-        H = mean_curvature(spec, (x, y))
-        res = minimal_residual(spec, (x, y))
-        rho = 1.0 + 4.0 * x * x
-        assert H == pytest.approx(res / (spec.ambient.det * rho ** 1.5), rel=1e-12)
+    x, y = interior_batch(spec, 20, seed=5)
+    H = frame_at(spec, (x, y)).H
+    res = residual_values(spec, x, y)
+    rho = 1.0 + 4.0 * x * x
+    assert H == pytest.approx(res / (spec.ambient.det * rho ** 1.5), rel=1e-12)
 
 
 @pytest.mark.parametrize("spec", [s for s in MINIMAL if s.ambient == surfaces.EUCLIDEAN],
@@ -87,13 +83,19 @@ def test_euclidean_catalog_admissibility(spec):
 
 
 def test_inadmissible_points_raise():
-    with pytest.raises(InadmissiblePoint):
-        minimal_residual(scherk(), (2.0, 0.0))  # outside the domain box
-    with pytest.raises(InadmissiblePoint):
-        mean_curvature(bi_wave(), (0.31, -0.31))  # inside box impossible; outside box
-    cat = get("catenoid")
-    with pytest.raises(InadmissiblePoint):
-        minimal_residual(cat, (0.5, 0.0))
+    """frame_at rejects a batch in which one point is inadmissible, and
+    accepts the same batch without it."""
+    for spec, bad in ((scherk(), (2.0, 0.0)),  # outside the domain box
+                      (bi_wave(), (0.31, -0.31)),  # inside box impossible; outside box
+                      (get("catenoid"), (0.5, 0.0)),
+                      (SurfaceSpec("half", plane().phi, surfaces.EUCLIDEAN, (-1.0, 1.0, -1.0, 1.0),
+                                   admissible=lambda x, y: x > 0.0), (-0.5, 0.0))):  # in the box
+        x, y = interior_batch(spec, 4, seed=8)
+        frame_at(spec, (x, y))
+        with pytest.raises(InadmissiblePoint):
+            frame_at(spec, (np.insert(x, 2, bad[0]), np.insert(y, 2, bad[1])))
+        with pytest.raises(InadmissiblePoint):
+            frame_at(spec, bad)
 
 
 def test_ambient_validation():
