@@ -81,25 +81,17 @@ def conformal_factor_jet(fr: SurfaceFrame, cfg: AssemblyConfig):
 
 
 def assemble_arrays(fr: SurfaceFrame, cfg: AssemblyConfig):
-    """Batched (components, d1, d2) of the assembled metric over a frame."""
+    """Batched (components, d1, d2) of the assembled metric over a frame of any batch shape."""
     e2 = conformal_factor_jet(fr, cfg)
     xblock = [[e2 * fr.g[a][b] for b in range(2)] for a in range(2)]
-    cx, d1x, d2x = matrix_jets_to_arrays(xblock)
-    cg, d1g, d2g = fr.g_arrays
-    P = cx.shape[0]
-    dim = cfg.dim
-    comp = np.zeros((P, dim, dim))
-    d1 = np.zeros((P, 2, dim, dim))
-    d2 = np.zeros((P, 2, 2, dim, dim))
-    comp[:, :2, :2] = cx
-    d1[:, :, :2, :2] = d1x
-    d2[:, :, :, :2, :2] = d2x
-    for i, e in enumerate(cfg.eps_blocks):
-        lo, hi = 2 + 2 * i, 4 + 2 * i
-        comp[:, lo:hi, lo:hi] = e * cg
-        d1[:, :, lo:hi, lo:hi] = e * d1g
-        d2[:, :, :, lo:hi, lo:hi] = e * d2g
-    return comp, d1, d2
+    out = []
+    for xa, ga in zip(matrix_jets_to_arrays(xblock), fr.g_arrays):
+        a = np.zeros(xa.shape[:-2] + (cfg.dim, cfg.dim))
+        a[..., :2, :2] = xa
+        for i, e in enumerate(cfg.eps_blocks):
+            a[..., 2 + 2 * i:4 + 2 * i, 2 + 2 * i:4 + 2 * i] = e * ga
+        out.append(a)
+    return tuple(out)
 
 
 def signature_values(comp) -> np.ndarray:

@@ -51,6 +51,8 @@ def _json(obj, out):
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
+        if not np.isfinite(obj):
+            raise ValueError(f"cannot write the non-finite number {float(obj)} as JSON")
         out.append(format(float(obj), ".17g"))
     elif isinstance(obj, str):
         out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
@@ -178,7 +180,9 @@ def run_verification(spec, cfg, samples=100, seed=42, tol=1e-7, oracle=False):
     oracle_entry = None
     if oracle:
         k = min(ORACLE_POINTS, x.size)
-        fd = curvature.ricci_fd(_metric_field(spec, cfg), (x[:k], y[:k]), ORACLE_STEP)
+        fd = curvature.ricci_fd(
+            lambda px, py: assembly.assemble_arrays(geometry2d.SurfaceFrame(spec, px, py), cfg)[0],
+            (x[:k], y[:k]), ORACLE_STEP)
         oracle_entry = {"step": ORACLE_STEP, "points": k,
                         "max_abs_difference": float(np.abs(fd - ric[:k]).max())}
 
@@ -203,13 +207,6 @@ def run_verification(spec, cfg, samples=100, seed=42, tol=1e-7, oracle=False):
         "wall_time_ms": int(round((time.monotonic() - t0) * 1000.0)),
     }
     return report
-
-
-def _metric_field(spec, cfg):
-    def field(px, py):
-        fr = geometry2d.SurfaceFrame(spec, np.ravel(px), np.ravel(py))
-        return assembly.assemble_arrays(fr, cfg)[0].reshape(np.shape(px) + (cfg.dim, cfg.dim))
-    return field
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +321,8 @@ def _parse_boundary(text):
 def cmd_solve(args) -> int:
     try:
         k1, k2, k0, eps = (float(t) for t in args.ambient.split(","))
+        if not eps.is_integer():
+            raise ValueError(f"the ambient sign eps must be +1 or -1, got {eps:g}")
         ambient = surfaces.AmbientMetric(k1, k2, k0, int(eps))
         nx, ny = (int(t) for t in args.grid.split(","))
         domain = tuple(float(t) for t in args.domain.split(","))
@@ -403,6 +402,8 @@ def cmd_curvature(args) -> int:
         px, py = (float(t) for t in args.point.split(","))
     except ValueError:
         raise UsageError(f"bad --point {args.point!r}")
+    if not np.all(np.isfinite((px, py))):
+        raise UsageError(f"--point must be two finite numbers, got {args.point!r}")
     comp, d1, d2 = _parse_metric(args.metric, (px, py))
     ric, scalar, denom = curvature.ricci_arrays(comp, d1, d2)
     max_abs = float(np.abs(ric).max())

@@ -165,8 +165,11 @@ def frame_at(spec: SurfaceSpec, p) -> SurfaceFrame:
     point is in the surface's domain and admissible set (InadmissiblePoint
     otherwise, for the whole batch)."""
     x, y = (np.atleast_1d(np.asarray(c, dtype=float)) for c in p)
-    if not np.all(spec.in_domain(x, y) & spec.admissible(x, y)):
-        raise InadmissiblePoint(f"point outside admissible domain of {spec.name}")
+    bad = ~(spec.in_domain(x, y) & spec.admissible(x, y))
+    if np.any(bad):
+        raise InadmissiblePoint(
+            "point ({:g}, {:g}) is outside the domain or admissible set of {}; its domain is x in "
+            "[{:g}, {:g}], y in [{:g}, {:g}]".format(x[bad][0], y[bad][0], spec.name, *spec.domain))
     return SurfaceFrame(spec, x, y)
 
 

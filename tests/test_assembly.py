@@ -100,6 +100,18 @@ def test_assemble_scherk_instanton_blocks():
     np.testing.assert_allclose(comp[0], expected, rtol=1e-14, atol=1e-16)
 
 
+def test_assemble_arrays_takes_any_batch_shape():
+    cfg = AssemblyConfig(3, (1, -1, 1), 0.3, 0.5, 0.25)
+    spec = scherk()
+    x, y = interior_batch(spec, 10, seed=4)
+    flat = assemble_arrays(frame_at(spec, (x, y)), cfg)
+    grid = assemble_arrays(frame_at(spec, (x.reshape(2, 5), y.reshape(2, 5))), cfg)
+    for got, want in zip(grid, flat):
+        want = want.reshape((2, 5) + want.shape[1:])
+        assert got.shape == want.shape
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_assemble_derivatives_match_finite_differences():
     """d1/d2 vs central differences of the components at steps 1e-3 and
     1e-4: the finer step matches to 1e-5 relative, and the error shrinks

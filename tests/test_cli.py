@@ -394,6 +394,24 @@ def test_solve_malformed_ambient_exit2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("eps", ["1.9", "-1.5", "0.5", "inf", "nan"])
+def test_solve_non_integer_ambient_sign_exit2(capsys, tmp_path, eps):
+    out = tmp_path / "x.minsurf"
+    code, stdout, err = run(capsys, "solve", "--boundary", "linear:1,2,0", f"--ambient=1,1,0,{eps}",
+                            "--grid", "9,9", "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.count("\n") == 1 and "eps must be +1 or -1" in err
+
+
+@pytest.mark.parametrize("eps", ["1", "-1", "1.0"])
+def test_solve_integer_ambient_sign_in_header(capsys, tmp_path, eps):
+    out = tmp_path / "x.minsurf"
+    code, _, _ = run(capsys, "solve", "--boundary", "linear:1,2,0", f"--ambient=1,1,0,{eps}",
+                     "--grid", "9,9", "--out", str(out))
+    assert code == 0
+    assert out.read_text().splitlines()[0].split()[-1] == str(int(float(eps)))
+
+
 def test_solve_boundary_file(capsys, tmp_path):
     ref = tmp_path / "ref.minsurf"
     run(capsys, "solve", "--boundary", "scherk", "--grid", "17,17", "--out", str(ref))
@@ -448,10 +466,45 @@ def test_curvature_invalid_specs(capsys):
                "--point", "0,0")[0] == 2
 
 
+@pytest.mark.parametrize("point", ["inf,0", "0,-inf", "nan,0.5"])
+def test_curvature_non_finite_point_exit2(capsys, point):
+    code, out, err = run(capsys, "curvature", "--metric", "flat", "--point", point)
+    assert code == 2 and out == ""
+    assert err == f"error: --point must be two finite numbers, got {point!r}\n"
+
+
+def test_curvature_inadmissible_point_names_point_and_domain(capsys):
+    code, out, err = run(capsys, "curvature", "--metric", "assembled:scherk,n=1", "--point", "2.0,0.0")
+    assert code == 2 and out == ""
+    assert err == ("error: point (2, 0) is outside the domain or admissible set of scherk; its domain is "
+                   "x in [-1.4708, 1.4708], y in [-1.4708, 1.4708]\n")
+
+
 def test_dumps_formatting():
     assert dumps({"a": 1, "b": None, "c": True}) == '{"a": 1, "b": null, "c": true}'
     assert dumps(0.1) == "0.10000000000000001"  # 17 significant digits
     assert dumps([1.0, "x\"y"]) == '[1, "x\\"y"]'
+
+
+@pytest.mark.parametrize("value", [float("inf"), -np.inf, float("nan"), np.float64("nan")])
+def test_dumps_rejects_non_finite_floats(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps({"point": [value, 0.0]})
+
+
+def test_verify_oracle_builds_two_frames(capsys, monkeypatch):
+    # one frame for the sampled batch, one for all nine stencil offsets of the oracle
+    init, shapes = cli.geometry2d.SurfaceFrame.__init__, []
+
+    def counted(self, spec, x, y):
+        shapes.append(np.shape(x))
+        init(self, spec, x, y)
+
+    monkeypatch.setattr(cli.geometry2d.SurfaceFrame, "__init__", counted)
+    code, rep, _ = verify_report(capsys, "--surface", "scherk", "--n", "2", "--eps-blocks=1,-1",
+                                 "--samples", "30", "--oracle")
+    assert code == 0 and rep["oracle"]["points"] == cli.ORACLE_POINTS
+    assert shapes == [(30,), (3, 3, cli.ORACLE_POINTS)]
 
 
 def test_sampler_redraws_and_counts_skips():

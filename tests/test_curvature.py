@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ def assembled(spec, cfg, p):
 
 def assembled_field(spec, cfg):
     def field(x, y):
-        return assembled(spec, cfg, (x, y))[0]
+        return assembly.assemble_arrays(frame_at(spec, (x, y)), cfg)[0]
     return field
 
 
@@ -71,8 +72,9 @@ def test_ricci_report_symmetry_and_normalization():
 def test_ricci_fd_richardson_on_sphere():
     exact = ricci_arrays(*sphere_metric((1.1, 0.2), a=1.3))[0]
 
-    def field(x, y):
-        return sphere_metric((x, y), a=1.3)[0]
+    def field(x, y):  # sphere_metric takes one point; the oracle passes a (3, 3) batch
+        return np.vectorize(lambda px, py: sphere_metric((px, py), a=1.3)[0],
+                            signature="(),()->(2,2)")(x, y)
 
     e1 = np.abs(ricci_fd(field, (1.1, 0.2), 1e-3) - exact).max()
     e2 = np.abs(ricci_fd(field, (1.1, 0.2), 5e-4) - exact).max()
@@ -81,7 +83,7 @@ def test_ricci_fd_richardson_on_sphere():
 
 def test_ricci_fd_flat_below_step_squared():
     step = 1e-3
-    fd = ricci_fd(lambda x, y: np.eye(4), (0.0, 0.0), step)
+    fd = ricci_fd(lambda x, y: np.broadcast_to(np.eye(4), np.shape(x) + (4, 4)), (0.0, 0.0), step)
     assert np.abs(fd).max() < step ** 2
 
 
@@ -259,15 +261,21 @@ def test_batched_ricci_fd_equals_pointwise_loop():
     spec = surfaces.scherk()
     cfg = assembly.AssemblyConfig(3, (1, -1, 1), 0.3, 1.0, 0.5)
     x, y, _, _ = cli.draw_points(spec, cfg, 10, seed=11)
-    field = cli._metric_field(spec, cfg)
     calls = []
 
+    def field(px, py):
+        return assembly.assemble_arrays(geometry2d.SurfaceFrame(spec, px, py), cfg)[0]
+
     def counted(px, py):
-        calls.append(np.shape(px))
+        calls.append((px, py))
         return field(px, py)
 
     batched = ricci_fd(counted, (x, y), cli.ORACLE_STEP)
-    assert calls == [(10,)] * 9  # one evaluation per stencil offset
+    assert [np.shape(px) for px, _ in calls] == [(3, 3, 10)]  # one evaluation, all nine offsets
+    X, Y = calls[0]
+    for i, j in itertools.product((-1, 0, 1), repeat=2):  # the stencil point (x + i step, y + j step)
+        assert_bits_equal([X[i + 1, j + 1], Y[i + 1, j + 1]],
+                          [x + i * cli.ORACLE_STEP, y + j * cli.ORACLE_STEP])
     loop = [ricci_fd(field, (x[k], y[k]), cli.ORACLE_STEP) for k in range(x.size)]
     assert_bits_equal([batched], [np.array(loop)])
     grid = ricci_fd(field, (x.reshape(2, 5), y.reshape(2, 5)), cli.ORACLE_STEP)

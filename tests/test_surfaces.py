@@ -92,8 +92,14 @@ def test_inadmissible_points_raise():
                                    admissible=lambda x, y: x > 0.0), (-0.5, 0.0))):  # in the box
         x, y = interior_batch(spec, 4, seed=8)
         frame_at(spec, (x, y))
-        with pytest.raises(InadmissiblePoint):
+        with pytest.raises(InadmissiblePoint) as exc:
             frame_at(spec, (np.insert(x, 2, bad[0]), np.insert(y, 2, bad[1])))
+        assert "point ({:g}, {:g}) is outside the domain or admissible set of {};".format(
+            *bad, spec.name) in str(exc.value)
+        assert str(exc.value).endswith("its domain is x in [{:g}, {:g}], y in [{:g}, {:g}]".format(*spec.domain))
+        with pytest.raises(InadmissiblePoint, match=r"^point \({:g}, {:g}\) is outside".format(*bad)):
+            # two rejected points: the message names the first
+            frame_at(spec, (np.insert(x, [1, 3], [bad[0], bad[0] + 10.0]), np.insert(y, [1, 3], bad[1])))
         with pytest.raises(InadmissiblePoint):
             frame_at(spec, bad)
 
