@@ -17,18 +17,44 @@ the first and third slots.  The round sphere then has positive scalar
 curvature (2/a^2), which the test suite pins.
 
 Only x^1 and x^2 carry derivatives, so the derivative index of d g^{-1},
-d S and d Gamma runs over those two live directions, giving shapes
-(..., 2, dim, dim, dim): the term d_a Gamma^a_{db} sums over a < 2 and
--d_d Gamma^a_{ab} fills only the columns d < 2.  S itself still needs
-d g in all dim directions, the dead ones zero, because its derivative
-index is contracted with metric indices.  ricci_arrays works through a
-batch in blocks of block_points(dim) points, so its temporaries do not
-grow with the batch.  Both choices leave every result bit for bit the same:
-the plain einsum calls keep their subscripts and summation order, and
-tests/test_curvature.py compares against the padded reference engine.
+d S and d Gamma runs over those two live directions: the term
+d_a Gamma^a_{db} sums over a < 2 and -d_d Gamma^a_{ab} fills only the
+columns d < 2.
+
+The engine sums structural non-zeros only.  The block metrics
+e^{2 Phi} g + eps_1 g + ... are mostly exact zeros (at dim 8, 128 of the
+8192 products of d g^{-1} per point are not), so each contraction runs
+over term tables instead of dense arrays.  The pattern rule: an entry of
+g^{-1}, d g or d^2 g that is zero at every point of a block counts as
+zero, and an intermediate (S, Gamma, d g^{-1}, d S, d Gamma, each term of
+R) is structurally zero where each of its products has a structurally
+zero factor.  The tables are built with array operations from the three
+patterns and cached per pattern; a tensor's values are a (rows + 1,
+points) array over its structural non-zeros plus a +0 row.
+
+The summation-order contract: each contraction keeps the subscripts of
+the dense einsum engine it replaces, and its kept products, factors
+multiplied left to right, are added to a +0 accumulator in the order that
+einsum adds them (Gamma sums over d; d g^{-1} = (g^{-1} d g) g^{-1} sums b
+outer, c inner; Gamma^i_{ie} Gamma^e_{db} sums i outer, e inner;
+Gamma^i_{de} Gamma^e_{ib} sums e outer, i inner).  A skipped product is
++-0 and x + (+-0) = x, so every bit of Gamma, R, the scalar and denom,
+signed zeros included, is the dense engine's.  The scalar's einsum order
+depends on memory layout, so it stays an einsum over a dense R stored as
+the dense engine left it, [d, b] per point.  tests/test_curvature.py
+holds the dense engine as padded_ricci, checks the bits against it, and
+shows that a changed order fails that check.
+
+The finite-input requirement: a skipped product is only zero when its
+other factors are finite (0 * inf is nan), so d g and d^2 g must be
+finite; christoffel_arrays and ricci_arrays raise SingularMetric when
+they are not.  ricci_arrays works through a batch in blocks of
+block_points(dim) points, so its temporaries do not grow with the batch.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -43,23 +69,18 @@ class SingularMetric(ValueError):
 #: sweep's worst ratio, 2.8e-8, keeps a factor of 280 above it
 SINGULAR_RCOND = 1e-10
 
-#: points per block of the batched Ricci computation at dim 8, small enough that
-#: its temporaries stay in the heap: 4 MiB blocks of 512 were faulted in again on
-#: every call (38k minor faults per 5000 points); 64 takes ~600 and 15% less time
-RICCI_BLOCK = 64
+#: points per block of the batched Ricci computation at dim 8.  A block's
+#: value arrays hold about 20 dim rows (the 160 entries of d Gamma at dim
+#: 8), so 256 points keep each near 330 KiB and in the heap: a 5000-point
+#: dim-8 call takes no minor faults from its third call on, where 512 and
+#: 1024 take 1.6k and 12k
+RICCI_BLOCK = 256
 
 
 def block_points(dim):
-    """Block size at dim: the (block, 2, dim, dim, dim) temporaries keep their dim-8 size."""
-    return max(1, RICCI_BLOCK * 8 ** 3 // dim ** 3)
-
-
-def _pad(d):
-    """Embed derivatives along x^1, x^2 (axis -3) into all dim directions."""
-    dim = d.shape[-1]
-    full = np.zeros(d.shape[:-3] + (dim, dim, dim))
-    full[..., :2, :, :] = d
-    return full
+    """Block size at dim: the (rows, block) value arrays, rows growing as dim,
+    keep their dim-8 size."""
+    return max(1, RICCI_BLOCK * 8 // dim)
 
 
 def metric_eigenvalues(comp):
@@ -82,45 +103,203 @@ def _inverse(comp):
     return np.linalg.inv(comp)
 
 
-def _christoffel(gi, dfull):
-    """(S, Gamma) with S_{dbc} = d_b g_{dc} + d_c g_{db} - d_d g_{bc} and
-    Gamma^a_{bc} = 1/2 g^{ad} S_{dbc}."""
-    S = (np.einsum("...bdc->...dbc", dfull) + np.einsum("...cdb->...dbc", dfull) - dfull)
-    return S, 0.5 * np.einsum("...ad,...dbc->...abc", gi, S)
+# ---------------------------------------------------------------------------
+# term tables over the structural non-zeros
+# ---------------------------------------------------------------------------
+
+def _lut(pattern):
+    """Row of each structural non-zero of a tensor in its (rows + 1, points)
+    value array, and -1, the trailing +0 row, at every structural zero."""
+    lut = np.full(pattern.shape, -1)
+    lut[pattern] = np.arange(np.count_nonzero(pattern))
+    return lut
+
+
+def _padded(lut, shape):
+    """lut embedded at the start of a larger shape, structurally zero elsewhere."""
+    out = np.full(shape, -1)
+    out[tuple(slice(n) for n in lut.shape)] = lut
+    return out
+
+
+def _combination(*luts):
+    """Layout of an elementwise combination of equal-shape operands, and
+    each operand's value rows at its entries."""
+    pattern = np.logical_or.reduce([lut >= 0 for lut in luts])
+    return _lut(pattern), [lut[pattern] for lut in luts]
+
+
+def _contractions(*terms):
+    """Term tables of einsum contractions onto one layout, the union of
+    their structural non-zeros.
+
+    A term is (subs, order, *luts): ``np.einsum(subs, ...)`` of factors laid
+    out by luts, ``order`` listing the summed letters, outermost first, in
+    the order einsum adds the products.  Returns the output layout and, per
+    term, one (rounds, entries) table of value rows per factor: round r
+    holds the r-th product, among those whose factors are all structurally
+    non-zero, of each output entry, or the +0 row where the entry has fewer.
+    """
+    masks = []  # one axis per output letter, then one per summed letter in order
+    for subs, order, *luts in terms:
+        ins, out = subs.split("->")
+        mask = np.einsum(f"{ins}->{out}{order}", *(lut >= 0 for lut in luts))
+        masks.append((ins.split(","), out + order, mask, luts))
+    k = len(out)  # every term has the same output
+    lut = _lut(np.logical_or.reduce([mask.any(axis=tuple(range(k, mask.ndim))) for *_, mask, _ in masks]))
+    entries = np.count_nonzero(lut >= 0)
+    all_tables = []
+    for subs, letters, mask, luts in masks:
+        idx = np.nonzero(mask)
+        slot = lut[idx[:k]]  # sorted: nonzero walks the output entries outermost
+        rank = np.arange(slot.size) - np.searchsorted(slot, slot)
+        letter = dict(zip(letters, idx))
+        tables = []
+        for sub, factor in zip(subs, luts):
+            table = np.full((rank.max(initial=-1) + 1, entries), -1)
+            table[rank, slot] = factor[tuple(letter[ch] for ch in sub)]
+            tables.append(table)
+        all_tables.append(tables)
+    return lut, all_tables
+
+
+class _Plan:
+    """Term tables of the Christoffel symbols and, given the pattern of
+    d^2 g, of the Ricci tensor, for one pattern of (g^{-1}, d g, d^2 g)."""
+
+    def __init__(self, g_pattern, d1_pattern, d2_pattern=None):
+        dim = g_pattern.shape[0]
+        g = _lut(g_pattern)
+        d = _padded(_lut(d1_pattern), (dim,) * 3)  # d g in all dim directions
+        self.g_cols, self.d1_cols = np.flatnonzero(g_pattern), np.flatnonzero(d1_pattern)
+        # S_{dbc} = d_b g_{dc} + d_c g_{db} - d_d g_{bc}, Gamma^a_{bc} = 1/2 g^{ad} S_{dbc}
+        s, self.s_rows = _combination(d.transpose(1, 0, 2), d.transpose(1, 2, 0), d)
+        gamma, [self.gamma] = _contractions(("ad,dbc->abc", "d", g, s))
+        self.gamma_cols = np.flatnonzero(gamma >= 0)
+        if d2_pattern is None:
+            return
+        d2 = _padded(_lut(d2_pattern), (2,) + (dim,) * 3)  # d_e d_f g, f in all dim directions
+        self.d2_cols = np.flatnonzero(d2_pattern)
+        # d_e g^{-1} = -g^{-1} d_e g g^{-1}; d_e Gamma = 1/2 (d_e g^{-1} S + g^{-1} d_e S)
+        dgi, [self.dgi] = _contractions(("ab,ebc,cd->ead", "bc", g, d[:2], g))
+        ds, self.ds_rows = _combination(d2.transpose(0, 2, 1, 3), d2.transpose(0, 2, 3, 1), d2)
+        dgamma, self.dgamma = _contractions(("ead,dbc->eabc", "d", dgi, s),
+                                            ("ad,edbc->eabc", "d", g, ds))
+        # R_{bd} = d_a Gamma^a_{db} - d_d Gamma^a_{ab} + Gamma^a_{ae} Gamma^e_{db}
+        #          - Gamma^a_{de} Gamma^e_{ab}; d_a vanishes for a >= 2, so with
+        # d Gamma padded to dim directions the first term keeps a < 2 and the
+        # second fills the columns d < 2
+        dgamma = _padded(dgamma, (dim,) * 4)
+        ricci, self.ricci = _contractions(("iidb->bd", "i", dgamma), ("diib->bd", "i", dgamma),
+                                          ("iie,edb->bd", "ie", gamma, gamma),
+                                          ("ide,eib->bd", "ei", gamma, gamma))
+        b, col = np.nonzero(ricci >= 0)
+        self.ricci_cols = col * dim + b  # the dense Ricci is stored [d, b]
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_plan(dim, *keys):
+    shapes = [(dim, dim), (2, dim, dim), (2, 2, dim, dim)]
+    return _Plan(*(np.frombuffer(k, dtype=bool).reshape(s) for k, s in zip(keys, shapes)))
+
+
+def _plan(gi, *derivatives):
+    """The plan of a block's structural non-zeros: an entry of g^{-1}, d g or
+    d^2 g that is zero at every point of the block counts as zero."""
+    return _cached_plan(gi.shape[-1], *((a != 0).any(axis=0).tobytes() for a in (gi,) + derivatives))
+
+
+def _values(a, cols):
+    """(len(cols) + 1, points) value array of the flattened entries cols of
+    a (points, ...) batch, with the trailing +0 row."""
+    out = np.zeros((cols.size + 1, a.shape[0]))
+    out[:-1] = a.reshape(a.shape[0], -1)[:, cols].T
+    return out
+
+
+def _derivative_values(d, cols):
+    """_values of metric derivatives, which must be finite: a skipped
+    product 0 * inf would have been nan.  Every non-finite entry is
+    non-zero, so it is among cols."""
+    out = _values(d, cols)
+    if not np.all(np.isfinite(out)):
+        raise SingularMetric("metric derivatives are not finite: d g or d^2 g holds an inf or nan")
+    return out
+
+
+def _combined(values, rows):
+    """Value array of x + y - z, the operands read from ``values`` at ``rows``."""
+    out = np.zeros((rows[0].size + 1, values.shape[1]))
+    out[:-1] = values[rows[0]] + values[rows[1]] - values[rows[2]]
+    return out
+
+
+def _sum(tables, *values):
+    """Value array of a contraction: each entry's kept products, the factors
+    multiplied left to right, added to +0 in table order.  A skipped product
+    is +-0 when its other factors are finite, and x + (+-0) = x."""
+    out = np.zeros((tables[0].shape[1] + 1, values[0].shape[1]))
+    acc = out[:-1]
+    for r in range(tables[0].shape[0]):
+        term = values[0][tables[0][r]]
+        for v, table in zip(values[1:], tables[1:]):
+            term *= v[table[r]]
+        acc += term
+    return out
+
+
+def _christoffel_values(plan, gi, d1):
+    """Value arrays of g^{-1}, S and Gamma of a block, given those of d g."""
+    g = _values(gi, plan.g_cols)
+    s = _combined(d1, plan.s_rows)
+    gamma = _sum(plan.gamma, g, s)
+    gamma *= 0.5
+    return g, s, gamma
 
 
 def christoffel_arrays(comp, d1):
     """Batched Gamma^a_{bc} = 1/2 g^{ad} (d_b g_{dc} + d_c g_{db} - d_d g_{bc})."""
-    return _christoffel(_inverse(comp), _pad(d1))[1]
+    lead, dim = comp.shape[:-2], comp.shape[-1]
+    comp, d1 = comp.reshape((-1, dim, dim)), d1.reshape((-1, 2, dim, dim))
+    gi = _inverse(comp)
+    plan = _plan(gi, d1)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in ricci_arrays
+        gamma = _christoffel_values(plan, gi, _derivative_values(d1, plan.d1_cols))[2]
+    out = np.zeros((comp.shape[0], dim ** 3))
+    out[:, plan.gamma_cols] = gamma[:-1].T
+    return out.reshape(lead + (dim, dim, dim))
+
+
+def _dgamma_values(plan, g, s, d1, d2):
+    """Value array of d_e Gamma^a_{bc} = 1/2 (d_e g^{ad} S_{dbc} + g^{ad} d_e S_{dbc})."""
+    dgi = _sum(plan.dgi, g, d1, g)
+    np.negative(dgi[:-1], out=dgi[:-1])
+    dgamma = _sum(plan.dgamma[0], dgi, s)
+    dgamma += _sum(plan.dgamma[1], g, _combined(d2, plan.ds_rows))
+    dgamma *= 0.5
+    return dgamma
 
 
 def _ricci_block(comp, d1, d2):
-    """ricci_arrays on one block of points."""
+    """ricci_arrays on one (points, dim, dim) block."""
+    P, dim = comp.shape[0], comp.shape[-1]
     gi = _inverse(comp)
-    dfull = _pad(d1)
-    S, gamma = _christoffel(gi, dfull)
-    # the derivative index e of dgi, dS and dgamma runs over x^1, x^2 only
-    dgi = -np.einsum("...ab,...ebc,...cd->...ead", gi, dfull[..., :2, :, :], gi)
-    d2full = _pad(d2)  # d_e d_f g with f over all dim directions
-    dS = (np.einsum("...ebdc->...edbc", d2full) + np.einsum("...ecdb->...edbc", d2full) - d2full)
-    dgamma = 0.5 * (np.einsum("...ead,...dbc->...eabc", dgi, S)
-                    + np.einsum("...ad,...edbc->...eabc", gi, dS))
-    # R_{bd} = d_a Gamma^a_{db} - d_d Gamma^a_{ab} + Gamma^a_{ae} Gamma^e_{db}
-    #          - Gamma^a_{de} Gamma^e_{ab}; d_a vanishes for a >= 2, so the
-    # first term sums over a < 2 and the second fills the columns d < 2
-    div_a = np.einsum("...iidb->...bd", dgamma[..., :2, :, :])
-    # zeros_like keeps div_a's memory layout, on which the summation
-    # order of the scalar's einsum, and so its last bits, depend
-    div_d = np.zeros_like(div_a)
-    div_d[..., :2] = np.einsum("...diib->...bd", dgamma)
-    ricci = (div_a
-             - div_d
-             + np.einsum("...iie,...edb->...bd", gamma, gamma)
-             - np.einsum("...ide,...eib->...bd", gamma, gamma))
+    plan = _plan(gi, d1, d2)
+    d1, d2 = _derivative_values(d1, plan.d1_cols), _derivative_values(d2, plan.d2_cols)
+    g, s, gamma = _christoffel_values(plan, gi, d1)
+    dgamma = _dgamma_values(plan, g, s, d1, d2)
+    div_a, div_d, e1, e2 = plan.ricci
+    ricci = _sum(div_a, dgamma)
+    ricci -= _sum(div_d, dgamma)
+    ricci += _sum(e1, gamma, gamma)
+    ricci -= _sum(e2, gamma, gamma)
+    # stored [d, b], as einsum left it: the scalar's einsum sums in an
+    # order that depends on that layout
+    stored = np.zeros((P, dim * dim))
+    stored[:, plan.ricci_cols] = ricci[:-1].T
+    ricci = stored.reshape(P, dim, dim).transpose(0, 2, 1)
     scalar = np.einsum("...bd,...bd->...", gi, ricci)
-    batch_axes = tuple(range(-4, 0)), tuple(range(-3, 0))
-    denom = (1.0 + np.abs(d2).max(axis=batch_axes[0])
-             + np.abs(gamma).max(axis=batch_axes[1]) ** 2)
+    denom = 1.0 + np.abs(d2).max(axis=0) + np.abs(gamma).max(axis=0) ** 2
     return ricci, scalar, denom
 
 
@@ -138,9 +317,12 @@ def ricci_arrays(comp, d1, d2):
     d2 = d2.reshape((-1, 2, 2, dim, dim))
     P, step = comp.shape[0], block_points(dim)
     ricci, scalar, denom = np.empty((P, dim, dim)), np.empty(P), np.empty(P)
-    for start in range(0, P, step):
-        blk = slice(start, start + step)
-        ricci[blk], scalar[blk], denom[blk] = _ricci_block(comp[blk], d1[blk], d2[blk])
+    # like the einsum calls they replace, the sums raise no floating-point
+    # warnings: an overflow shows as an inf or nan in the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, P, step):
+            blk = slice(start, start + step)
+            ricci[blk], scalar[blk], denom[blk] = _ricci_block(comp[blk], d1[blk], d2[blk])
     return tuple(a.reshape(lead + a.shape[1:]) for a in (ricci, scalar, denom))
 
 

@@ -440,6 +440,41 @@ def test_curvature_sphere_at_extreme_scales(capsys, radius):
     assert json.loads(out)["scalar"] == pytest.approx(2.0 / radius ** 2, rel=1e-12)
 
 
+#: curvature reports print every Christoffel symbol and Ricci entry, signed
+#: zeros included; these are byte-for-byte the dense einsum engine's output
+GOLDEN = Path(__file__).resolve().parent / "data"
+CURVATURE_GOLDEN = [
+    ("flat", "flat", "0.3,0.2"),
+    ("polar", "polar", "1.3,0.0"),
+    ("sphere2", "sphere:2", "1.0,0.5"),
+    ("scherk_n1", "assembled:scherk,n=1", "0.3,0.2"),
+    ("scherk_n3", "assembled:scherk,n=3,eps=+-+,e0=0.3,m1=1,n1=0.5", "0.3,0.2"),
+]
+
+
+@pytest.mark.parametrize("name,metric,point", CURVATURE_GOLDEN)
+def test_curvature_report_bytes_match_golden(capsys, name, metric, point):
+    code, out, err = run(capsys, "curvature", "--metric", metric, "--point", point)
+    assert code == 0 and err == ""
+    assert out.encode() == (GOLDEN / f"curvature_{name}.json").read_bytes()
+
+
+def test_curvature_overflowing_curvature_exit2_one_line(capsys):
+    # g^{-1} ~ 1e308 overflows the products: one error line, no warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "curvature", "--metric", "sphere:1e-154", "--point", "1.0,0.5")
+    assert code == 2 and out == ""
+    assert err == "error: cannot write the non-finite number inf as JSON\n"
+
+
+def test_curvature_non_finite_derivatives_exit2(capsys):
+    # a^2 = 1e308 is finite, d^2 g = 2 a^2 cos 2x is not
+    code, out, err = run(capsys, "curvature", "--metric", "sphere:1e154", "--point", "1,0")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: metric derivatives are not finite")
+
+
 def test_curvature_flat_and_assembled(capsys):
     code, out, _ = run(capsys, "curvature", "--metric", "flat", "--point", "0,0")
     rep = json.loads(out)

@@ -125,6 +125,20 @@ def test_singular_metric_raises():
         ricci_arrays(np.zeros((2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2, 2, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_derivatives_raise(bad):
+    # a skipped product 0 * inf would have been nan, so the engine refuses them
+    comp, d1, d2 = sphere_metric((1.0, 0.4))
+    for which in (1, 2):
+        d = [d1.copy(), d2.copy()]
+        d[which - 1].flat[-1] = bad
+        with pytest.raises(SingularMetric, match="derivatives are not finite"):
+            ricci_arrays(comp, *d)
+    d1[0, 0, 0] = bad
+    with pytest.raises(SingularMetric, match="derivatives are not finite"):
+        christoffel_arrays(comp, d1)
+
+
 @pytest.mark.parametrize("scale", [1e-40, 1e-12, 1.0, 1e40])
 def test_singularity_rule_is_scale_free(scale):
     comp, d1, d2 = flat_metric((0.0, 0.0), signs=(1, 1, -1, 1, 1, 1, -1, 1))
@@ -206,16 +220,73 @@ MIXED_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("name,cfg", MIXED_CONFIGS)
+#: n = 1..4 on five surfaces, mixed block signs, e0, m1 and n1 all non-zero
+WIDE_CONFIGS = [
+    (name, assembly.AssemblyConfig(n, signs, e0, 1.0, n1))
+    for name in ("scherk", "catenoid", "bi_wave", "helicoid", "nonminimal_x2")
+    for n, signs, e0, n1 in [(1, (-1,), 0.3, 0.5), (2, (1, -1), 0.2, 0.25),
+                             (3, (-1, 1, -1), 0.1, 1.0), (4, (1, -1, -1, 1), 0.3, 0.5)]
+]
+
+
+def assert_engine_matches_padded(comp, d1, d2):
+    want = padded_ricci(comp, d1, d2)
+    assert_bits_equal(curvature.ricci_arrays(comp, d1, d2), want[1:])
+    assert_bits_equal([curvature.christoffel_arrays(comp, d1)], want[:1])
+
+
+@pytest.mark.parametrize("name,cfg", MIXED_CONFIGS + WIDE_CONFIGS)
 def test_ricci_arrays_bits_match_padded_reference(name, cfg):
     fr = sampled_frame(name, cfg, 40)
     comp, d1, d2 = assembly.assemble_arrays(fr, cfg)
     # the whole batch, one point, and the identity suite's dim-2 conformal call
     for comp, d1, d2 in [(comp, d1, d2), (comp[3], d1[3], d2[3]),
                          geometry2d.matrix_jets_to_arrays(fr.g)]:
-        want = padded_ricci(comp, d1, d2)
-        assert_bits_equal(curvature.ricci_arrays(comp, d1, d2), want[1:])
-        assert_bits_equal([curvature.christoffel_arrays(comp, d1)], want[:1])
+        assert_engine_matches_padded(comp, d1, d2)
+
+
+BUILTINS = [
+    ("flat", lambda p: flat_metric(p, signs=(1, 1, -1, 1))),
+    ("polar", polar_metric),
+    ("sphere", lambda p: sphere_metric(p, a=1.3)),
+]
+
+
+@pytest.mark.parametrize("name,metric", BUILTINS)
+def test_builtin_metrics_bits_match_padded_reference(name, metric):
+    dim = metric((0.5, 0.0))[0].shape[-1]
+    block = curvature.block_points(dim)
+    for P in (1, 40, block + 1):
+        xs = np.linspace(0.4, 2.6, P)
+        comp, d1, d2 = (np.stack(a) for a in zip(*(metric((x, 0.2)) for x in xs)))
+        assert_engine_matches_padded(comp, d1, d2)
+    assert_engine_matches_padded(*metric((1.1, 0.2)))  # one point, no batch axis
+
+
+@pytest.fixture
+def fresh_plans():
+    curvature._cached_plan.cache_clear()
+    yield
+    curvature._cached_plan.cache_clear()
+
+
+def test_bit_check_fails_when_one_summation_order_changes(monkeypatch, fresh_plans):
+    """The bit check can fail: summing Gamma^i_{de} Gamma^e_{ib} with i
+    outer and e inner, where einsum takes e outer, changes R's last bits."""
+    contractions = curvature._contractions
+
+    def swapped(*terms):
+        return contractions(*((subs, order[::-1] if subs == "ide,eib->bd" else order, *luts)
+                              for subs, order, *luts in terms))
+
+    cfg = assembly.AssemblyConfig(3, (1, -1, 1), 0.3, 1.0, 0.5)
+    comp, d1, d2 = assembly.assemble_arrays(sampled_frame("scherk", cfg, 40), cfg)
+    want = padded_ricci(comp, d1, d2)
+    assert_engine_matches_padded(comp, d1, d2)
+    monkeypatch.setattr(curvature, "_contractions", swapped)
+    curvature._cached_plan.cache_clear()
+    with pytest.raises(AssertionError):
+        assert_bits_equal(curvature.ricci_arrays(comp, d1, d2)[:1], want[1:2])
 
 
 def test_blocked_ricci_equals_one_block(monkeypatch):
@@ -250,11 +321,28 @@ def test_ricci_arrays_memory_grows_with_its_output_only():
     assert peaks[1] - peaks[0] <= 2 * 4096 * cfg.dim ** 2 * 8
 
 
-def test_block_points_keep_dim8_temporaries():
+def test_block_points_bound_the_per_block_temporaries():
+    # a block's value arrays hold about 20 dim rows, so block_points(dim) * dim
+    # keeps its dim-8 size; the dense (block, dim, dim) arrays add a little
     assert curvature.block_points(8) == curvature.RICCI_BLOCK
     for dim in (2, 4, 6, 14):
-        size = curvature.block_points(dim) * dim ** 3
-        assert curvature.RICCI_BLOCK * 8 ** 3 - dim ** 3 < size <= curvature.RICCI_BLOCK * 8 ** 3
+        size = curvature.block_points(dim) * dim
+        assert curvature.RICCI_BLOCK * 8 - dim < size <= curvature.RICCI_BLOCK * 8
+    temporaries = {}
+    for n in (1, 3, 6):
+        cfg = assembly.AssemblyConfig(n, (1, -1) * (n // 2) + (1,) * (n % 2), 0.3, 1.0, 0.5)
+        arrays = assembly.assemble_arrays(sampled_frame("scherk", cfg, 40), cfg)
+        P = curvature.block_points(cfg.dim)
+        comp, d1, d2 = (np.resize(a, (P,) + a.shape[1:]) for a in arrays)
+        curvature.ricci_arrays(comp, d1, d2)  # the plan is cached, not a temporary
+        tracemalloc.start()
+        try:
+            curvature.ricci_arrays(comp, d1, d2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        temporaries[cfg.dim] = peak - P * (cfg.dim ** 2 + 2) * 8  # less the returned arrays
+    assert max(temporaries.values()) <= 1.5 * temporaries[8]
 
 
 def test_batched_ricci_fd_equals_pointwise_loop():
