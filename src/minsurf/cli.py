@@ -14,14 +14,14 @@ for the wall_time_ms field.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 import time
 
 import numpy as np
-from scipy.stats import qmc
 
-from . import assembly, curvature, geometry2d, solver, surfaces
+from . import assembly, curvature, geometry2d, surfaces
 from .geometry2d import CHECK_NAMES, CheckConstants
 from .jets import DomainError
 
@@ -106,6 +106,55 @@ def _classify_chunk(spec, cfg, cx, cy):
     return reasons
 
 
+class _ScrambledHalton:
+    """Owen-scrambled Halton points in [0, 1)^2 (A. B. Owen, "A randomized
+    Halton algorithm in R", arXiv:1706.02808, 2017).
+
+    Coordinate i is the radical inverse of the point index k in base
+    (2, 3)[i], each base-b digit d_j of k mapped through its own random
+    permutation: u = sum_j perm[j][d_j] b^-(j+1), summed in digit order.
+    The points, bit for bit, are those of
+    ``scipy.stats.qmc.Halton(d=2, scramble=True, seed=seed)``.
+    """
+
+    BASES = (2, 3)
+
+    def __init__(self, seed):
+        rng = np.random.default_rng(seed)
+        self._terms = []  # per base, row j holds perm[j][d] * b^-(j+1) for every digit d
+        for base in self.BASES:
+            # one permutation per digit that a double still resolves
+            perm = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+            scale = np.empty(len(perm))
+            b = 1.0 / base
+            for j, row in enumerate(perm):
+                rng.shuffle(row)
+                scale[j] = b
+                b /= base  # repeated division: 3.0 ** -(j + 1) differs in the last bit
+            self._terms.append(perm * scale[:, None])
+        self._next = 0  # the index k continues across calls
+
+    def random(self, n):
+        """The next n points, shape (n, 2)."""
+        k = np.arange(self._next, self._next + n, dtype=np.int64)
+        self._next += n
+        return np.stack([self._radical_inverse(k, b, t) for b, t in zip(self.BASES, self._terms)],
+                        axis=1)
+
+    @staticmethod
+    def _radical_inverse(k, base, terms):
+        u = np.zeros(k.size)
+        top = int(k[-1]) if k.size else 0  # the largest remaining quotient
+        for row in terms:
+            if top:
+                k, digit = np.divmod(k, base)
+                top //= base
+                u += row[digit]
+            else:  # every remaining digit is 0
+                u += row[0]
+        return u
+
+
 def draw_points(spec, cfg, samples, seed):
     """Seeded low-discrepancy sampling over the admissible domain.
 
@@ -114,7 +163,7 @@ def draw_points(spec, cfg, samples, seed):
     REDRAW_FACTOR * samples candidates.  Returns the accepted coordinates,
     the number of candidates consumed, and the per-reason skip counts.
     """
-    halton = qmc.Halton(d=2, scramble=True, seed=seed)
+    halton = _ScrambledHalton(seed)
     x0, x1, y0, y1 = spec.domain
     skips = dict.fromkeys(SKIP_REASONS, 0)
     xs, ys = [], []
@@ -270,6 +319,8 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
     if not 0.0 < args.tol < np.inf:
         raise UsageError(f"--tol must be a positive finite number, got {args.tol!r}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
 
     if (args.surface is None) == (args.grid is None):
         raise UsageError("exactly one of --surface or --grid is required")
@@ -280,6 +331,7 @@ def cmd_verify(args) -> int:
     if args.surface is not None:
         spec = surfaces.get(args.surface, _parse_params(args.param))
     else:
+        from . import solver  # scipy loads only for the commands that need it
         spec = solver.as_surface(solver.load_solution(args.grid), name=f"grid:{args.grid}")
 
     report = run_verification(spec, cfg, samples=args.samples, seed=args.seed, tol=args.tol,
@@ -319,6 +371,8 @@ def _parse_boundary(text):
 
 
 def cmd_solve(args) -> int:
+    from . import solver
+
     try:
         k1, k2, k0, eps = (float(t) for t in args.ambient.split(","))
         if not eps.is_integer():

@@ -330,33 +330,43 @@ def ricci_arrays(comp, d1, d2):
 # built-in test metrics with textbook curvature
 # ---------------------------------------------------------------------------
 
+def _batch_x(p):
+    """x of p = (x, y), broadcast to the batch shape of x and y."""
+    return np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in p))[0]
+
+
+def _diagonal_metric(x, g00, g11, dg11, ddg11):
+    """(comp, d1, d2) of diag(g00, g11(x)) over x's batch shape, given
+    g11's first and second x-derivatives."""
+    comp = np.zeros(x.shape + (2, 2))
+    d1 = np.zeros(x.shape + (2, 2, 2))
+    d2 = np.zeros(x.shape + (2, 2, 2, 2))
+    comp[..., 0, 0] = g00
+    comp[..., 1, 1] = g11
+    d1[..., 0, 1, 1] = dg11
+    d2[..., 0, 0, 1, 1] = ddg11
+    return comp, d1, d2
+
+
 def flat_metric(p, signs=(1, 1)):
     """Constant diagonal metric, the same at every p; identically zero curvature."""
+    shape = _batch_x(p).shape
     dim = len(signs)
-    return (np.diag(np.asarray(signs, dtype=float)),
-            np.zeros((2, dim, dim)), np.zeros((2, 2, dim, dim)))
+    return (np.broadcast_to(np.diag(np.asarray(signs, dtype=float)), shape + (dim, dim)).copy(),
+            np.zeros(shape + (2, dim, dim)), np.zeros(shape + (2, 2, dim, dim)))
 
 
 def polar_metric(p):
     """diag(1, x^2): flat plane in polar form, x playing the radius."""
-    x, _ = p
-    comp = np.diag([1.0, x ** 2])
-    d1 = np.zeros((2, 2, 2))
-    d1[0, 1, 1] = 2.0 * x
-    d2 = np.zeros((2, 2, 2, 2))
-    d2[0, 0, 1, 1] = 2.0
-    return comp, d1, d2
+    x = _batch_x(p)
+    return _diagonal_metric(x, 1.0, x ** 2, 2.0 * x, 2.0)
 
 
 def sphere_metric(p, a=1.0):
     """diag(a^2, a^2 sin^2 x): round sphere of radius a; scalar 2/a^2."""
-    x, _ = p
-    comp = np.diag([a ** 2, (a * np.sin(x)) ** 2])
-    d1 = np.zeros((2, 2, 2))
-    d1[0, 1, 1] = a ** 2 * np.sin(2.0 * x)
-    d2 = np.zeros((2, 2, 2, 2))
-    d2[0, 0, 1, 1] = 2.0 * a ** 2 * np.cos(2.0 * x)
-    return comp, d1, d2
+    x = _batch_x(p)
+    return _diagonal_metric(x, a ** 2, (a * np.sin(x)) ** 2, a ** 2 * np.sin(2.0 * x),
+                            2.0 * a ** 2 * np.cos(2.0 * x))
 
 
 def central_differences(at, hx, hy):

@@ -69,12 +69,18 @@ def test_verify_flag_validation(capsys):
 
 @pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--samples", "-3"),
                                         ("--tol", "nan"), ("--tol", "inf"),
-                                        ("--tol", "0"), ("--tol", "-1e-7")])
+                                        ("--tol", "0"), ("--tol", "-1e-7"),
+                                        ("--seed", "-1")])
 def test_verify_bad_numeric_flag_exit2(capsys, flag, value):
     code, out, err = run(capsys, "verify", "--surface", "plane", f"{flag}={value}")
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and flag in err
+
+
+def test_verify_negative_seed_names_flag_and_value(capsys):
+    code, out, err = run(capsys, "verify", "--surface", "plane", "--seed=-7")
+    assert (code, out, err) == (2, "", "error: --seed must be a non-negative integer, got -7\n")
 
 
 @pytest.mark.parametrize("param,name", [("bogus=1", "bogus"), ("a=foo", "a"), ("a=nan", "a")])

@@ -72,9 +72,8 @@ def test_ricci_report_symmetry_and_normalization():
 def test_ricci_fd_richardson_on_sphere():
     exact = ricci_arrays(*sphere_metric((1.1, 0.2), a=1.3))[0]
 
-    def field(x, y):  # sphere_metric takes one point; the oracle passes a (3, 3) batch
-        return np.vectorize(lambda px, py: sphere_metric((px, py), a=1.3)[0],
-                            signature="(),()->(2,2)")(x, y)
+    def field(x, y):  # the oracle passes a (3, 3) batch
+        return sphere_metric((x, y), a=1.3)[0]
 
     e1 = np.abs(ricci_fd(field, (1.1, 0.2), 1e-3) - exact).max()
     e2 = np.abs(ricci_fd(field, (1.1, 0.2), 5e-4) - exact).max()
@@ -257,10 +256,21 @@ def test_builtin_metrics_bits_match_padded_reference(name, metric):
     dim = metric((0.5, 0.0))[0].shape[-1]
     block = curvature.block_points(dim)
     for P in (1, 40, block + 1):
-        xs = np.linspace(0.4, 2.6, P)
-        comp, d1, d2 = (np.stack(a) for a in zip(*(metric((x, 0.2)) for x in xs)))
-        assert_engine_matches_padded(comp, d1, d2)
+        assert_engine_matches_padded(*metric((np.linspace(0.4, 2.6, P), 0.2)))
     assert_engine_matches_padded(*metric((1.1, 0.2)))  # one point, no batch axis
+
+
+@pytest.mark.parametrize("name,metric", BUILTINS)
+def test_builtin_metrics_batch_equals_points(name, metric):
+    xs = np.linspace(0.4, 2.6, 12).reshape(3, 4)
+    ys = np.linspace(-0.5, 0.5, 4)  # broadcast against xs
+    batch = metric((xs, ys))
+    dim = batch[0].shape[-1]
+    assert [a.shape for a in batch] == [(3, 4, dim, dim), (3, 4, 2, dim, dim), (3, 4, 2, 2, dim, dim)]
+    for i, j in np.ndindex(xs.shape):
+        one = metric((float(xs[i, j]), float(ys[j])))
+        assert [a.shape for a in one] == [a.shape[2:] for a in batch]
+        assert_bits_equal([a[i, j] for a in batch], one)
 
 
 @pytest.fixture
