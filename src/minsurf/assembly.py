@@ -42,6 +42,9 @@ class AssemblyConfig:
             raise ValueError(f"need exactly {self.n} block signs, got {len(self.eps_blocks)}")
         if any(e not in (1, -1) for e in self.eps_blocks):
             raise ValueError("block signs must be +1 or -1")
+        for name, value in (("e0", self.e0), ("m1", self.m1), ("n1", self.n1)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
 
     @property
     def m2(self) -> float:

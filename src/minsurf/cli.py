@@ -194,7 +194,7 @@ def draw_points(spec, cfg, samples, seed):
     return np.concatenate(xs), np.concatenate(ys), consumed, skips
 
 
-def run_verification(spec, cfg, samples=100, seed=42, tol=1e-7, oracle=False):
+def run_verification(spec, cfg, samples, seed, tol, oracle):
     """Full verification of one surface/configuration pair."""
     t0 = time.monotonic()
     x, y, drawn, skips = draw_points(spec, cfg, samples, seed)
@@ -435,15 +435,21 @@ def _parse_metric(text, point):
             if key in opts:
                 raise UsageError(f"duplicate assembled metric option {key!r}")
             opts[key] = val
-        n = int(opts.pop("n", "1"))
+
+        def option(key, kind, default):
+            text = opts.pop(key, default)
+            try:
+                return kind(text)
+            except ValueError:
+                raise UsageError(f"assembled metric option {key} must be "
+                                 f"{'an integer' if kind is int else 'a number'}, got {text!r}")
+        n = option("n", int, "1")
         signs = opts.pop("eps", "+" * n)  # compact sign string, e.g. eps=+-+
         if len(signs) != n or any(s not in "+-" for s in signs):
             raise UsageError(f"eps must be {n} signs of +/-, got {signs!r}")
         cfg = assembly.AssemblyConfig(
             n=n, eps_blocks=tuple(1 if s == "+" else -1 for s in signs),
-            e0=float(opts.pop("e0", "0")),
-            m1=float(opts.pop("m1", "0")),
-            n1=float(opts.pop("n1", "0")))
+            e0=option("e0", float, "0"), m1=option("m1", float, "0"), n1=option("n1", float, "0"))
         if opts:
             raise UsageError(f"unknown assembled metric options {sorted(opts)}")
         arrays = assembly.assemble_arrays(geometry2d.frame_at(surfaces.get(name), point), cfg)

@@ -66,26 +66,20 @@ class SurfaceFrame:
     """
 
     def __init__(self, spec: SurfaceSpec, x, y):
-        amb = spec.ambient
-        self.x = np.asarray(x, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-        self.g0 = amb.g0
-        self.g0_inv = amb.g0_inv
-        self.det_g0 = amb.det
-        self.eps = amb.eps
-
-        f = spec.phi_jet(self.x, self.y)
+        self.ambient = amb = spec.ambient
+        f = spec.phi_jet(x, y)
         self.phi = f
         self.p = [deriv(f, 0), deriv(f, 1)]  # jets of phi_{,mu}, valid to order 2
-        gi = self.g0_inv
-        self.up = [gi[m, 0] * self.p[0] + gi[m, 1] * self.p[1] for m in range(2)]  # phi^mu
-        self.rho = 1.0 + amb.eps * (self.up[0] * self.p[0] + self.up[1] * self.p[1])
+        up = amb.raised(*self.p)  # phi^mu
+        self.rho = amb.rho(*self.p)
         if np.any(self.rho.value <= 0.0):
             raise DomainError("rho <= 0 in SurfaceFrame")
         self.log_rho = jets.log(self.rho)
         self.sr = jets.sqrt(self.rho)
-        self.h = [[self.g0[m, n] + amb.eps * self.p[m] * self.p[n] for n in range(2)] for m in range(2)]
-        self.h_inv = [[gi[m, n] - (amb.eps / self.rho) * self.up[m] * self.up[n] for n in range(2)] for m in range(2)]
+        g0, gi = amb.g0, amb.g0_inv
+        self.h = [[g0[m, n] + amb.eps * self.p[m] * self.p[n] for n in range(2)] for m in range(2)]
+        eps_rho = amb.eps / self.rho
+        self.h_inv = [[gi[m, n] - eps_rho * up[m] * up[n] for n in range(2)] for m in range(2)]
         inv_sr = jets.powr(self.sr, -1)
         self.g = [[self.h[m][n] * inv_sr for n in range(2)] for m in range(2)]
         self.sqrt_det_g, self.g_inv = _inverse(self.g)
@@ -113,11 +107,6 @@ class SurfaceFrame:
         self.r = (c * lap_h_phi[..., None, None] * self.hess - c * self.hess_sq
                   + (0.25 / rho ** 2)[..., None, None] * np.einsum("...m,...n->...mn", drho, drho))
 
-    def conformal_curvature(self):
-        """Ricci tensor and scalar of g from the generic curvature engine."""
-        ric, scal, _ = ricci_arrays(*self.g_arrays)
-        return ric, scal
-
 
 def _grab(m, i, j):
     """Partial d^i_x d^j_y of a 2x2 matrix of jets, shape (..., 2, 2)."""
@@ -125,15 +114,12 @@ def _grab(m, i, j):
                      np.stack([m[1][0].partial(i, j), m[1][1].partial(i, j)], axis=-1)], axis=-2)
 
 
-def matrix_jets_to_arrays(m, order=2):
-    """Convert a 2x2 matrix of jets into (comp, d1, d2) engine arrays, or
-    into (comp, d1) at order 1."""
-    arrays = (_grab(m, 0, 0), np.stack([_grab(m, 1, 0), _grab(m, 0, 1)], axis=-3))
-    if order == 1:
-        return arrays
+def matrix_jets_to_arrays(m):
+    """Convert a 2x2 matrix of jets into (comp, d1, d2) engine arrays."""
+    d1 = np.stack([_grab(m, 1, 0), _grab(m, 0, 1)], axis=-3)
     d2 = np.stack([np.stack([_grab(m, 2, 0), _grab(m, 1, 1)], axis=-3),
                    np.stack([_grab(m, 1, 1), _grab(m, 0, 2)], axis=-3)], axis=-4)
-    return arrays + (d2,)
+    return _grab(m, 0, 0), d1, d2
 
 
 def _inverse(m):
@@ -217,10 +203,11 @@ def _masked_log(j: Jet3, ok) -> Jet3:
 
 def run_identity_checks(fr: SurfaceFrame, consts: CheckConstants) -> dict:
     """Evaluate all identity checks over the frame's point batch."""
-    eps, g0, D = fr.eps, fr.g0, fr.det_g0
+    amb = fr.ambient
+    eps, g0, D = amb.eps, amb.g0, amb.det
     rho, sr = fr.rho.value, fr.sr.value
     hess, lambda0, K, r = fr.hess, fr.lambda0, fr.K, fr.r
-    R_ab, R = fr.conformal_curvature()
+    R_ab, R, _ = ricci_arrays(*fr.g_arrays)  # the conformal metric's Ricci tensor and scalar
     s, ginv = fr.sqrt_det_g, fr.g_inv  # the conformal metric g, for every Laplacian
     checks = {}
 
@@ -249,7 +236,7 @@ def run_identity_checks(fr: SurfaceFrame, consts: CheckConstants) -> dict:
 
     # P3a: R + (1/4) g^{ab} tr[d_a g^{-1} d_b g], the scalar condition
     # defining the admissible 2-metric class
-    ginv_v, dginv = matrix_jets_to_arrays(ginv, order=1)
+    ginv_v, dginv, _ = matrix_jets_to_arrays(ginv)
     trterm = 0.25 * np.einsum("...ab,...aij,...bji->...", ginv_v, dginv, fr.g_arrays[1])
     checks["P3a"] = BatchCheck.dense(R + trterm, _abs_max(R, trterm))
 

@@ -172,9 +172,12 @@ def solve_minimal(boundary, ambient: AmbientMetric, grid=(65, 65),
         raise ValueError(f"max_iter must be non-negative, got {max_iter!r}")
     sol = GridSolution(nx, ny, (x0, x1), (y0, y1),
                        np.zeros((nx, ny)), ambient)
+    hx, hy = sol.hx, sol.hy
+    if not (0.0 < hx * hx < np.inf and 0.0 < hy * hy < np.inf):
+        raise ValueError(f"domain {x0:g},{x1:g},{y0:g},{y1:g} on a {nx}x{ny} grid gives spacing "
+                         f"{hx:g},{hy:g}, whose square is zero or not finite")
     xs, ys = sol.xs, sol.ys
     U = _coons_patch(lambda a, b: np.asarray(boundary(a, b), dtype=float), xs, ys)
-    hx, hy = sol.hx, sol.hy
 
     d, coeffs, F = _operator(U, ambient, hx, hy)
     _check_rho(d, ambient)

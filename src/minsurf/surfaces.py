@@ -33,8 +33,8 @@ class InadmissiblePoint(ValueError):
 class AmbientMetric:
     """Constant flat 2-metric g0 = [[k1, k0], [k0, k2]] plus the x3 sign.
 
-    ``rho``, ``weights`` and ``pde_coefficients`` take the gradient
-    (phi_x, phi_y) as value arrays or as jets.
+    ``raised``, ``rho``, ``weights`` and ``pde_coefficients`` take the
+    gradient (phi_x, phi_y) as value arrays or as jets.
     """
 
     k1: float
@@ -60,10 +60,15 @@ class AmbientMetric:
     def g0_inv(self) -> np.ndarray:
         return np.array([[self.k2, -self.k0], [-self.k0, self.k1]]) / self.det
 
-    def rho(self, px, py):
-        """rho = 1 + eps * g0^{mu nu} phi_mu phi_nu."""
+    def raised(self, px, py):
+        """The raised gradient (phi^x, phi^y), phi^mu = g0^{mu nu} phi_nu."""
         gi = self.g0_inv
-        return 1.0 + self.eps * (gi[0, 0] * px ** 2 + 2.0 * gi[0, 1] * px * py + gi[1, 1] * py ** 2)
+        return gi[0, 0] * px + gi[0, 1] * py, gi[1, 0] * px + gi[1, 1] * py
+
+    def rho(self, px, py):
+        """rho = 1 + eps * phi^mu phi_mu; a jet's value is rho of its values, bit for bit."""
+        ux, uy = self.raised(px, py)
+        return 1.0 + self.eps * (ux * px + uy * py)
 
     def weights(self, px, py):
         """(w1, w2) = (k1 + eps phi_x^2, k2 + eps phi_y^2)."""

@@ -78,6 +78,16 @@ def test_verify_bad_numeric_flag_exit2(capsys, flag, value):
     assert err.count("\n") == 1 and flag in err
 
 
+@pytest.mark.parametrize("name,argv", [
+    *((name, ("verify", "--surface", "scherk", f"--{name}={value}"))
+      for name in ("e0", "m1", "n1") for value in ("inf", "-inf", "nan")),
+    ("n1", ("curvature", "--metric", "assembled:scherk,n1=inf", "--point", "0.3,0.2"))])
+def test_non_finite_exponent_exit2(capsys, name, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: {name} must be a finite number, got ")
+
+
 def test_verify_negative_seed_names_flag_and_value(capsys):
     code, out, err = run(capsys, "verify", "--surface", "plane", "--seed=-7")
     assert (code, out, err) == (2, "", "error: --seed must be a non-negative integer, got -7\n")
@@ -271,14 +281,18 @@ def test_solve_stops_as_soon_as_it_reaches_rounding_floor(capsys, tmp_path):
     assert load_solution(path).converged
 
 
-@pytest.mark.parametrize("domain", ["1,1,0,1", "1,0,0,1", "0,1,0.5,0.5", "0,1,1,0",
-                                    "0,inf,0,1", "nan,1,0,1"])
-def test_solve_degenerate_or_reversed_domain_exit2(capsys, tmp_path, domain):
+@pytest.mark.parametrize("domain,message", [
+    *(pytest.param(d, "finite x0 < x1 and y0 < y1", id=d)
+      for d in ("1,1,0,1", "1,0,0,1", "0,1,0.5,0.5", "0,1,1,0", "0,inf,0,1", "nan,1,0,1")),
+    # finite and ordered, but the spacing or its square underflows or overflows
+    *(pytest.param(d, "on a 9x9 grid gives spacing", id=d)
+      for d in ("0,1e-300,0,1", "0,1e-170,0,1e-170", "-1e308,1e308,-1,1"))])
+def test_solve_degenerate_or_reversed_domain_exit2(capsys, tmp_path, domain, message):
     path = tmp_path / "x.minsurf"
     code, out, err = run(capsys, "solve", "--boundary", "linear:1,0,0", "--grid", "9,9",
                          f"--domain={domain}", "--out", str(path))
     assert code == 2
-    assert out == "" and err.count("\n") == 1 and "finite x0 < x1 and y0 < y1" in err
+    assert out == "" and err.count("\n") == 1 and message in err
     assert not path.exists()
 
 
@@ -505,6 +519,9 @@ def test_curvature_invalid_specs(capsys):
     assert run(capsys, "curvature", "--metric", "flat", "--point", "zero")[0] == 2
     assert run(capsys, "curvature", "--metric", "assembled:scherk,n=2,eps=+x",
                "--point", "0,0")[0] == 2
+    for opt, what in (("n=x", "n must be an integer, got 'x'"), ("e0=abc", "e0 must be a number, got 'abc'")):
+        code, out, err = run(capsys, "curvature", "--metric", f"assembled:scherk,{opt}", "--point", "0.3,0.2")
+        assert (code, out, err) == (2, "", f"error: assembled metric option {what}\n")
 
 
 @pytest.mark.parametrize("point", ["inf,0", "0,-inf", "nan,0.5"])

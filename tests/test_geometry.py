@@ -59,7 +59,7 @@ def test_sample_bi_wave_null_gradient():
 def test_sample_determinant_invariants(spec):
     fr = frame_at(spec, interior_batch(spec, 20, seed=11))
     h, g = fr.h_values, fr.g_arrays[0]
-    g_inv = matrix_jets_to_arrays(fr.g_inv, order=1)[0]
+    g_inv = matrix_jets_to_arrays(fr.g_inv)[0]
     det0 = spec.ambient.det
     assert np.linalg.det(h) == pytest.approx(det0 * fr.rho.value, rel=1e-12)
     assert np.linalg.det(g) == pytest.approx(np.full(20, det0), rel=1e-12)
@@ -186,21 +186,67 @@ def same_bits(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def _sheared_scherk():
+    """Scherk's surface sheared, phi = log cos y - log cos(x - y/2), over
+    g0 = [[1, -1/2], [-1/2, 5/4]] (k0 != 0), with (u, y) = (x - y/2, y)
+    sampled in [-1.4, 1.4]^2."""
+    def phi(x, y):
+        X, Y = Jet3.variable("x", x), Jet3.variable("y", y)
+        return jets.log(jets.cos(Y)) - jets.log(jets.cos(X - 0.5 * Y))
+
+    def points(rng, count):
+        u, y = rng.uniform(-1.4, 1.4, (2, count))
+        return u + 0.5 * y, y
+
+    return SurfaceSpec("sheared_scherk", phi, surfaces.AmbientMetric(1.0, 1.25, -0.5, 1),
+                       (-2.1, 2.1, -1.4, 1.4)), points
+
+
+def _max_scherk():
+    """The maximal Scherk graph phi = log cosh y - log cosh x in Minkowski
+    space (eps = -1), sampled in [-0.6, 0.6]^2 where rho > 0."""
+    def cosh(t):
+        return 0.5 * (jets.exp(t) + jets.exp(-t))
+
+    def phi(x, y):
+        return jets.log(cosh(Jet3.variable("y", y))) - jets.log(cosh(Jet3.variable("x", x)))
+
+    def points(rng, count):
+        return tuple(rng.uniform(-0.6, 0.6, (2, count)))
+
+    return SurfaceSpec("max_scherk", phi, surfaces.AmbientMetric(1.0, 1.0, 0.0, -1),
+                       (-0.6, 0.6, -0.6, 0.6)), points
+
+
+@pytest.mark.parametrize("make", [_sheared_scherk, _max_scherk], ids=lambda m: m.__name__[1:])
+def test_rho_is_one_formula(make):
+    """The sampler's screen and the frame compute rho with the same formula:
+    AmbientMetric.rho of the gradient's values is the frame's rho jet value,
+    bit for bit, on an ambient with k0 != 0 and on one with eps = -1."""
+    spec, points = make()
+    x, y = points(np.random.default_rng(8), 20000)
+    f = spec.phi_jet(x, y)
+    screened = spec.ambient.rho(f.partial(1, 0), f.partial(0, 1))
+    assert np.all(screened > 0.0)
+    assert same_bits(SurfaceFrame(spec, x, y).rho.value, screened)
+
+
 @pytest.mark.parametrize("spec", surfaces.catalog(), ids=lambda s: s.name)
 def test_point_readers_equal_batched_frame(spec):
     """A one-point frame_at frame at point k holds the batched frame's arrays
     at index k, bit for bit, and so does the Ricci tensor of its assembled
     metric."""
     cfg = assembly.AssemblyConfig(3, (1, -1, 1), 0.3, 0.5, 0.25)
-    fr = frame_at(spec, interior_batch(spec, 6, seed=43, shrink=0.0))
+    x, y = interior_batch(spec, 6, seed=43, shrink=0.0)
+    fr = frame_at(spec, (x, y))
     ric, scalar, denom = curvature.ricci_arrays(*assembly.assemble_arrays(fr, cfg))
-    g_inv = matrix_jets_to_arrays(fr.g_inv, order=1)[0]
-    for k in range(fr.x.size):
-        one = frame_at(spec, (fr.x[k], fr.y[k]))
+    g_inv = matrix_jets_to_arrays(fr.g_inv)[0]
+    for k in range(x.size):
+        one = frame_at(spec, (x[k], y[k]))
         one_ric, one_scalar, one_denom = curvature.ricci_arrays(*assembly.assemble_arrays(one, cfg))
         for got, want in ((one.h_values, fr.h_values[k]), (one.h_inv_values, fr.h_inv_values[k]),
                           (one.g_arrays[0], fr.g_arrays[0][k]),
-                          (matrix_jets_to_arrays(one.g_inv, order=1)[0], g_inv[k]),
+                          (matrix_jets_to_arrays(one.g_inv)[0], g_inv[k]),
                           (one.r, fr.r[k]), (one.K, fr.K[k]), (one.H, fr.H[k]),
                           (one.lambda0, fr.lambda0[k]), (one.rho.value, fr.rho.value[k]),
                           (one_ric, ric[k]), (one_scalar, scalar[k]), (one_denom, denom[k])):
@@ -287,7 +333,7 @@ def test_nonminimal_failures_and_universal_identities():
 def test_p3c_engine_scalar_relation():
     # R(engine on g) = sqrt(rho) * tr_h(r) - 2 lap_g psi0 to 1e-9
     fr = frame_at_points(scherk(), 50, seed=31)
-    _, R = fr.conformal_curvature()
+    _, R = curvature.ricci_arrays(*fr.g_arrays)[:2]
     r_scalar = np.einsum("pmn,pmn->p", fr.h_inv_values, fr.r)
     lap = laplace_beltrami(fr.g, fr.psi0)
     assert np.abs(R - np.sqrt(fr.rho.value) * r_scalar + 2.0 * lap).max() < 1e-9
@@ -302,7 +348,7 @@ def test_convention_factor_calibration():
     assert res.normalized[0] < 1e-12
 
     fr = frame_at_points(scherk(), 25, seed=37)
-    _, R = fr.conformal_curvature()
+    _, R = curvature.ricci_arrays(*fr.g_arrays)[:2]
     dg = np.stack([matrix_jets_to_arrays([[jets.deriv(fr.g[m][n], e) for n in range(2)] for m in range(2)])[0]
                    for e in range(2)], axis=1)
     dginv = np.stack([matrix_jets_to_arrays([[jets.deriv(fr.g_inv[m][n], e) for n in range(2)]
