@@ -1,10 +1,15 @@
-"""Order-3 bivariate Taylor jets: exact differentiation through third order.
+"""Bivariate Taylor jets of order at most 3: exact differentiation through third order.
 
-A Jet3 carries the value and all partial derivatives d^i_x d^j_y f with
-i + j <= 3 (10 coefficients).  Arithmetic reproduces the calculus of the
-represented functions through total order 3; higher-order information is
-truncated.  Coefficients may be scalars or numpy arrays of sample points,
-so a single jet expression evaluates a whole batch at once.
+A Jet3 carries the value and the partial derivatives d^i_x d^j_y f with
+i + j <= k, the order the jet is valid to.  Its length says k: 10, 6, 3 or
+1 coefficients for order 3, 2, 1 or 0.  Seeds (``constant``, ``variable``)
+are order 3, and ``deriv`` returns a jet one order lower.  An operation on
+two jets of different orders truncates to the lower one (truncated Taylor
+arithmetic), and reading a partial above a jet's order raises IndexError.
+Truncation keeps the bits of every kept coefficient: an order-k product
+adds the same terms, in the same order, as the order-3 product does for
+its slots of order <= k.  Coefficients may be scalars or numpy arrays of
+sample points, so a single jet expression evaluates a whole batch at once.
 """
 
 from __future__ import annotations
@@ -19,14 +24,19 @@ ORDER = 3
 SLOTS = [(i, j) for s in range(ORDER + 1) for i in range(s, -1, -1) for j in [s - i]]
 IDX = {ij: k for k, ij in enumerate(SLOTS)}
 NSLOTS = len(SLOTS)
+#: jet length -> the order it is valid to; the slots of order <= k come first
+ORDER_OF = {(k + 1) * (k + 2) // 2: k for k in range(ORDER + 1)}
 
-# Leibniz product table: (out_slot, a_slot, b_slot, binomial weight)
+# Leibniz product table: (out_slot, a_slot, b_slot, binomial weight), sorted
+# by output slot, so the product of length-n jets runs its first _MUL_TERMS[n]
+# entries: 1, 5, 15 or 35 terms for order 0, 1, 2 or 3
 _MUL_TABLE = []
 for (i, j), o in IDX.items():
     for p in range(i + 1):
         for q in range(j + 1):
             w = math.comb(i, p) * math.comb(j, q)
             _MUL_TABLE.append((o, IDX[(p, q)], IDX[(i - p, j - q)], float(w)))
+_MUL_TERMS = {n: sum(o < n for o, *_ in _MUL_TABLE) for n in ORDER_OF}
 
 
 class DomainError(ValueError):
@@ -35,11 +45,12 @@ class DomainError(ValueError):
 
 
 class Jet3:
-    """Truncated bivariate Taylor expansion, order 3.
+    """Truncated bivariate Taylor expansion, of order 3 or lower.
 
-    ``c`` has shape ``(10,) + batch_shape``; ``c[IDX[(i, j)]]`` is the
-    partial derivative d^i_x d^j_y at the (implicit) expansion point.
-    The expansion point itself is not stored: evaluation contexts own it.
+    ``c`` has shape ``(n,) + batch_shape`` with n in ``ORDER_OF`` (10 for
+    order 3); ``c[IDX[(i, j)]]`` is the partial derivative d^i_x d^j_y at
+    the (implicit) expansion point, for i + j up to the jet's order.  The
+    expansion point itself is not stored: evaluation contexts own it.
     """
 
     __slots__ = ("c",)
@@ -63,21 +74,29 @@ class Jet3:
         return out
 
     @property
+    def order(self):
+        return ORDER_OF[len(self.c)]
+
+    @property
     def value(self):
         return self.c[0]
 
     def partial(self, i, j):
-        """Partial derivative d^i_x d^j_y of the represented function."""
+        """Partial derivative d^i_x d^j_y of the represented function;
+        IndexError above the jet's order."""
+        if i + j > self.order:
+            raise IndexError(f"partial of order {i + j} read from an order-{self.order} jet")
         return self.c[IDX[(i, j)]]
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet3):
-            return Jet3(self.c + other.c)
+            n = min(len(self.c), len(other.c))
+            return Jet3(self.c[:n] + other.c[:n])
         other = np.asarray(other, dtype=float)
         shape = np.broadcast_shapes(self.c.shape[1:], other.shape)
-        out = np.zeros((NSLOTS,) + shape)
+        out = np.zeros(self.c.shape[:1] + shape)
         out += self.c
         out[0] += other
         return Jet3(out)
@@ -96,10 +115,10 @@ class Jet3:
     def __mul__(self, other):
         if not isinstance(other, Jet3):
             return Jet3(self.c * np.asarray(other))
-        shape = np.broadcast_shapes(self.c.shape[1:], other.c.shape[1:])
-        out = np.zeros((NSLOTS,) + shape)
         a, b = self.c, other.c
-        for o, ia, ib, w in _MUL_TABLE:
+        n = min(len(a), len(b))
+        out = np.zeros((n,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+        for o, ia, ib, w in _MUL_TABLE[:_MUL_TERMS[n]]:
             out[o] += w * a[ia] * b[ib] if w != 1.0 else a[ia] * b[ib]
         return Jet3(out)
 
@@ -121,26 +140,26 @@ class Jet3:
 
 
 def deriv(a: Jet3, axis) -> Jet3:
-    """Jet of the partial derivative of ``a`` along ``axis``.
+    """Jet of the partial derivative of ``a`` along ``axis``, one order lower.
 
-    The result's third-order coefficients are zeroed: they would need
-    order-4 data of ``a``.  Consumers must only read orders <= 2 of a
-    once-differentiated jet (and so on down the chain).
+    The top order of ``a`` is dropped rather than filled: its derivative
+    would need data above ``a``'s order.  An order-0 jet has no derivative
+    (ValueError).
     """
     axis = {"x": 0, "y": 1, 0: 0, 1: 1}[axis]
-    out = np.zeros_like(a.c)
-    for (i, j), k in IDX.items():
-        src = (i + 1, j) if axis == 0 else (i, j + 1)
-        if sum(src) <= ORDER:
-            out[k] = a.c[IDX[src]]
-    return Jet3(out)
+    order = a.order - 1
+    if order < 0:
+        raise ValueError("deriv of an order-0 jet")
+    return Jet3(a.c[[IDX[(i + 1, j) if axis == 0 else (i, j + 1)] for i, j in SLOTS if i + j <= order]])
 
 
 def _compose(a: Jet3, f0, f1, f2, f3) -> Jet3:
     """Jet of F(a) given the 1-D derivatives F, F', F'', F''' at a.value.
 
     Horner evaluation of the cubic Taylor polynomial of F in delta = a - a0;
-    delta**4 vanishes in the truncated algebra, so this is exact to order 3.
+    delta**(k+1) vanishes in the algebra of order-k jets, so this is exact to
+    a's order.  f3 stays in below order 3: its product with delta's zero
+    value reaches every slot, as nan wherever f3 is not finite.
     """
     delta = Jet3(a.c.copy())
     delta.c[0] = np.zeros_like(delta.c[0])

@@ -61,11 +61,11 @@ class GridSolution:
 
     @property
     def hx(self):
-        return (self.x_range[1] - self.x_range[0]) / (self.nx - 1)
+        return _spacing(self.x_range, self.nx)
 
     @property
     def hy(self):
-        return (self.y_range[1] - self.y_range[0]) / (self.ny - 1)
+        return _spacing(self.y_range, self.ny)
 
     @property
     def xs(self):
@@ -79,6 +79,25 @@ class GridSolution:
         """Integer indices (i, j) of the node nearest to (x, y), elementwise."""
         return (np.rint((np.asarray(x) - self.x_range[0]) / self.hx).astype(int),
                 np.rint((np.asarray(y) - self.y_range[0]) / self.hy).astype(int))
+
+
+def _spacing(bounds, n):
+    return (bounds[1] - bounds[0]) / (n - 1)
+
+
+def _check_grid(nx, ny, domain):
+    """Raise ValueError unless an nx x ny grid is at least 3x3 over a finite
+    domain (x0, x1, y0, y1) with x0 < x1 and y0 < y1 whose spacings square
+    to a positive finite number: the one rule for solved and loaded grids."""
+    if nx < 3 or ny < 3:
+        raise ValueError("grid must be at least 3x3")
+    x0, x1, y0, y1 = domain
+    if not (-np.inf < x0 < x1 < np.inf and -np.inf < y0 < y1 < np.inf):
+        raise ValueError(f"domain needs finite x0 < x1 and y0 < y1, got {x0:g},{x1:g},{y0:g},{y1:g}")
+    hx, hy = _spacing((x0, x1), nx), _spacing((y0, y1), ny)
+    if not (0.0 < hx * hx < np.inf and 0.0 < hy * hy < np.inf):
+        raise ValueError(f"domain {x0:g},{x1:g},{y0:g},{y1:g} on a {nx}x{ny} grid gives spacing "
+                         f"{hx:g},{hy:g}, whose square is zero or not finite")
 
 
 def _coons_patch(bound, xs, ys):
@@ -161,11 +180,8 @@ def solve_minimal(boundary, ambient: AmbientMetric, grid=(65, 65),
     operator's rounding floor on the current iterate.
     """
     nx, ny = grid
-    if nx < 3 or ny < 3:
-        raise ValueError("grid must be at least 3x3")
+    _check_grid(nx, ny, domain)
     x0, x1, y0, y1 = domain
-    if not (-np.inf < x0 < x1 < np.inf and -np.inf < y0 < y1 < np.inf):
-        raise ValueError(f"domain needs finite x0 < x1 and y0 < y1, got {x0:g},{x1:g},{y0:g},{y1:g}")
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     if max_iter < 0:
@@ -173,9 +189,6 @@ def solve_minimal(boundary, ambient: AmbientMetric, grid=(65, 65),
     sol = GridSolution(nx, ny, (x0, x1), (y0, y1),
                        np.zeros((nx, ny)), ambient)
     hx, hy = sol.hx, sol.hy
-    if not (0.0 < hx * hx < np.inf and 0.0 < hy * hy < np.inf):
-        raise ValueError(f"domain {x0:g},{x1:g},{y0:g},{y1:g} on a {nx}x{ny} grid gives spacing "
-                         f"{hx:g},{hy:g}, whose square is zero or not finite")
     xs, ys = sol.xs, sol.ys
     U = _coons_patch(lambda a, b: np.asarray(boundary(a, b), dtype=float), xs, ys)
 
@@ -242,9 +255,12 @@ def load_solution(path) -> GridSolution:
     if not raw or not raw[0].startswith(FORMAT_MAGIC):
         raise ValueError(f"not a {FORMAT_MAGIC} file: {path}")
     head = raw[0].split()
+    if len(head) != 12:
+        raise ValueError(f"{path}: a {FORMAT_MAGIC} header has 12 fields, found {len(head)}")
     nx, ny = int(head[2]), int(head[3])
     x0, x1, y0, y1, k1, k2, k0 = (float(v) for v in head[4:11])
     eps = int(head[11])
+    _check_grid(nx, ny, (x0, x1, y0, y1))
     converged = True
     numbers = []
     for line in raw[1:]:

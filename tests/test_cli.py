@@ -296,6 +296,34 @@ def test_solve_degenerate_or_reversed_domain_exit2(capsys, tmp_path, domain, mes
     assert not path.exists()
 
 
+def _grid_file(nx, ny, domain):
+    rows = "".join(" ".join(["0"] * ny) + "\n" for _ in range(nx))
+    return f"minsurf v1 {nx} {ny} {domain} 1 1 0 1\n{rows}"
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param("minsurf v1\n", "header has 12 fields, found 2", id="header-only"),
+    pytest.param("minsurf v1 9 9 0 1 0 1\n", "header has 12 fields, found 8", id="short-header"),
+    pytest.param(_grid_file(9, 9, "0 1e-300 0 1"), "on a 9x9 grid gives spacing", id="spacing-underflows"),
+    pytest.param(_grid_file(2, 9, "0 1 0 1"), "grid must be at least 3x3", id="2x9-grid"),
+    pytest.param(_grid_file(9, 9, "1 0 0 1"), "finite x0 < x1 and y0 < y1", id="reversed-domain")])
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_malformed_solution_file_exit2_one_line(capsys, tmp_path, text, message, command):
+    """verify --grid and solve --boundary file: check a file's header and grid
+    with solve_minimal's rule: exit 2, one error line, no warning."""
+    path, out_path = tmp_path / "bad.minsurf", tmp_path / "out.minsurf"
+    path.write_text(text)
+    argv = (["verify", "--grid", str(path)] if command == "verify"
+            else ["solve", "--boundary", f"file:{path}", "--out", str(out_path)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert caught == []
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("flags", [("--tol", "inf"), ("--tol", "nan"), ("--max-iter", "-3")])
 def test_solve_bad_tol_or_max_iter_exit2(capsys, tmp_path, flags):
     path = tmp_path / "s.minsurf"

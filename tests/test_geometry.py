@@ -349,10 +349,11 @@ def test_convention_factor_calibration():
 
     fr = frame_at_points(scherk(), 25, seed=37)
     _, R = curvature.ricci_arrays(*fr.g_arrays)[:2]
-    dg = np.stack([matrix_jets_to_arrays([[jets.deriv(fr.g[m][n], e) for n in range(2)] for m in range(2)])[0]
+    # deriv of the order-2 g is an order-1 jet; only its values are read
+    dg = np.stack([geometry2d._grab([[jets.deriv(fr.g[m][n], e) for n in range(2)] for m in range(2)], 0, 0)
                    for e in range(2)], axis=1)
-    dginv = np.stack([matrix_jets_to_arrays([[jets.deriv(fr.g_inv[m][n], e) for n in range(2)]
-                                             for m in range(2)])[0]
+    dginv = np.stack([geometry2d._grab([[jets.deriv(fr.g_inv[m][n], e) for n in range(2)]
+                                        for m in range(2)], 0, 0)
                       for e in range(2)], axis=1)
     trterm = np.einsum("pab,paij,pbji->p", matrix_jets_to_arrays(fr.g_inv)[0], dginv, dg)
     implied = (-0.25 * trterm) / R
