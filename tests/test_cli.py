@@ -507,6 +507,34 @@ def test_curvature_report_bytes_match_golden(capsys, name, metric, point):
     assert out.encode() == (GOLDEN / f"curvature_{name}.json").read_bytes()
 
 
+#: verify reports, byte for byte with wall_time_ms masked as 0: (name, argv, exit code)
+VERIFY_GOLDEN = [
+    ("scherk_n3_oracle", ["--surface", "scherk", "--n", "3", "--eps-blocks=1,-1,1", "--e0", "0.3",
+                          "--m1", "1", "--n1", "0.5", "--samples", "500", "--oracle"], 0),
+    ("catenoid_n2", ["--surface", "catenoid", "--n", "2", "--e0", "0.3", "--m1", "1", "--n1", "0.25"], 0),
+    ("bi_wave_n2_oracle", ["--surface", "bi_wave", "--n", "2", "--eps-blocks=1,-1", "--n1", "0.25",
+                           "--oracle"], 0),
+    ("helicoid_pitch", ["--surface", "helicoid", "--param", "pitch=1.5"], 0),
+    ("nonminimal_x2", ["--surface", "nonminimal_x2"], 1),
+    # a grid's finite-difference jets miss the identity tolerance: pass false
+    ("grid_scherk33", ["--grid", "s33.minsurf"], 1),
+]
+
+_WALL_TIME = re.compile(r'"wall_time_ms": \d+')
+
+
+@pytest.mark.parametrize("name,argv,exit_code", VERIFY_GOLDEN, ids=[g[0] for g in VERIFY_GOLDEN])
+def test_verify_report_bytes_match_golden(capsys, tmp_path, monkeypatch, name, argv, exit_code):
+    monkeypatch.chdir(tmp_path)  # the grid file's relative name is part of its report
+    if "--grid" in argv:
+        assert run(capsys, "solve", "--boundary", "scherk", "--grid", "33,33",
+                   "--out", "s33.minsurf")[0] == 0
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == exit_code and err == ""
+    masked = _WALL_TIME.sub('"wall_time_ms": 0', out)
+    assert masked.encode() == (GOLDEN / f"verify_{name}.json").read_bytes()
+
+
 def test_curvature_overflowing_curvature_exit2_one_line(capsys):
     # g^{-1} ~ 1e308 overflows the products: one error line, no warnings
     with warnings.catch_warnings():
