@@ -23,7 +23,7 @@ import numpy as np
 
 from . import assembly, curvature, geometry2d, surfaces
 from .geometry2d import CHECK_NAMES, CheckConstants
-from .jets import DomainError
+from .jets import NSLOTS, DomainError, Jet3
 
 #: fixed normalized tolerance for the identity checks
 IDENTITY_TOL = 1e-9
@@ -87,23 +87,23 @@ def dumps(obj) -> str:
 # ---------------------------------------------------------------------------
 
 def _classify_chunk(spec, cfg, cx, cy):
-    """Skip-reason code per candidate: '' accepted, else a SKIP_REASONS entry."""
+    """Skip-reason code per candidate ('' accepted, else a SKIP_REASONS
+    entry) and the phi jet coefficients of the accepted ones, in order."""
     reasons = np.full(cx.shape, "", dtype=object)
     ok = spec.admissible(cx, cy)
     reasons[~ok] = "NEAR_SINGULAR"
     idx = np.nonzero(ok)[0]
-    if idx.size:
-        # jets are only evaluated on admissible candidates (the predicate
-        # fences off the evaluators' own singularities)
-        f = spec.phi_jet(cx[idx], cy[idx])
-        px, py = f.partial(1, 0), f.partial(0, 1)
-        rho = spec.ambient.rho(px, py)
-        bad_rho = rho <= 0.0
-        reasons[idx[bad_rho]] = "RHO_NONPOSITIVE"
-        w1, w2 = spec.ambient.weights(px, py)
-        bad_log = ~bad_rho & ~assembly.log_domain_ok(rho, w1, w2, cfg)
-        reasons[idx[bad_log]] = "LOG_DOMAIN"
-    return reasons
+    # jets are only evaluated on admissible candidates (the predicate
+    # fences off the evaluators' own singularities)
+    f = spec.phi_jet(cx[idx], cy[idx]) if idx.size else Jet3(np.empty((NSLOTS, 0)))
+    px, py = f.partial(1, 0), f.partial(0, 1)
+    rho = spec.ambient.rho(px, py)
+    bad_rho = rho <= 0.0
+    reasons[idx[bad_rho]] = "RHO_NONPOSITIVE"
+    w1, w2 = spec.ambient.weights(px, py)
+    bad_log = ~bad_rho & ~assembly.log_domain_ok(rho, w1, w2, cfg)
+    reasons[idx[bad_log]] = "LOG_DOMAIN"
+    return reasons, f.c[:, ~(bad_rho | bad_log)]
 
 
 class _ScrambledHalton:
@@ -161,12 +161,13 @@ def draw_points(spec, cfg, samples, seed):
     Candidates come from a scrambled Halton sequence mapped onto the domain
     rectangle; skipped ones are replaced by further draws, up to a total of
     REDRAW_FACTOR * samples candidates.  Returns the accepted coordinates,
-    the number of candidates consumed, and the per-reason skip counts.
+    the number of candidates consumed, the per-reason skip counts and the
+    order-3 jet of phi at the accepted points, evaluated while screening.
     """
     halton = _ScrambledHalton(seed)
     x0, x1, y0, y1 = spec.domain
     skips = dict.fromkeys(SKIP_REASONS, 0)
-    xs, ys = [], []
+    xs, ys, cs = [], [], []
     accepted = 0
     consumed = 0
     budget = REDRAW_FACTOR * samples
@@ -175,32 +176,28 @@ def draw_points(spec, cfg, samples, seed):
         u = halton.random(chunk)
         cx = x0 + u[:, 0] * (x1 - x0)
         cy = y0 + u[:, 1] * (y1 - y0)
-        reasons = _classify_chunk(spec, cfg, cx, cy)
+        reasons, c = _classify_chunk(spec, cfg, cx, cy)
         good = reasons == ""
         # consume candidates in sequence order only until the target is met
-        need = samples - accepted
-        cum = np.cumsum(good)
-        if cum.size and cum[-1] >= need:
-            take = int(np.searchsorted(cum, need)) + 1
-        else:
-            take = chunk
+        take = min(int(np.searchsorted(np.cumsum(good), samples - accepted)) + 1, chunk)
         consumed += take
         sel = good[:take]
         xs.append(cx[:take][sel])
         ys.append(cy[:take][sel])
+        cs.append(c[:, :int(sel.sum())])  # the accepted candidates that were taken
         accepted += int(sel.sum())
         for reason in reasons[:take][~sel]:
             skips[reason] += 1
-    return np.concatenate(xs), np.concatenate(ys), consumed, skips
+    return np.concatenate(xs), np.concatenate(ys), consumed, skips, Jet3(np.concatenate(cs, axis=1))
 
 
 def run_verification(spec, cfg, samples, seed, tol, oracle):
     """Full verification of one surface/configuration pair."""
     t0 = time.monotonic()
-    x, y, drawn, skips = draw_points(spec, cfg, samples, seed)
+    x, y, drawn, skips, phi = draw_points(spec, cfg, samples, seed)
     if x.size == 0:
         raise DomainError("no admissible sample points found within the redraw budget")
-    frame = geometry2d.SurfaceFrame(spec, x, y)
+    frame = geometry2d.SurfaceFrame(spec.ambient, phi)
     checks = geometry2d.run_identity_checks(frame, CheckConstants())
 
     per_check = {}
@@ -230,7 +227,8 @@ def run_verification(spec, cfg, samples, seed, tol, oracle):
     if oracle:
         k = min(ORACLE_POINTS, x.size)
         fd = curvature.ricci_fd(
-            lambda px, py: assembly.assemble_arrays(geometry2d.SurfaceFrame(spec, px, py), cfg)[0],
+            lambda px, py: assembly.assemble_arrays(
+                geometry2d.SurfaceFrame(spec.ambient, spec.phi_jet(px, py)), cfg)[0],
             (x[:k], y[:k]), ORACLE_STEP)
         oracle_entry = {"step": ORACLE_STEP, "points": k,
                         "max_abs_difference": float(np.abs(fd - ric[:k]).max())}
@@ -284,6 +282,18 @@ def _parse_params(pairs):
         except ValueError:
             params[key] = val
     return params
+
+
+def _numbers(flag, text, form, kind=float):
+    """The comma-separated numbers of a list flag, one for each name in
+    ``form`` (such as 'NX,NY'); a UsageError names the flag, form and value."""
+    try:
+        values = [kind(tok) for tok in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != len(form.split(",")):
+        raise UsageError(f"{flag} needs {form}, got {text!r}")
+    return values
 
 
 def _parse_eps_blocks(text, n):
@@ -353,11 +363,7 @@ def _parse_boundary(text):
     if text.startswith("file:"):
         return None, text[len("file:"):]
     if text.startswith("linear:"):
-        try:
-            a, b, c = (float(t) for t in text[len("linear:"):].split(","))
-        except ValueError:
-            raise UsageError(f"bad linear boundary {text!r}")
-        spec = surfaces.plane(a, b, c)
+        spec = surfaces.plane(*_numbers("--boundary linear:", text[len("linear:"):], "A,B,C"))
     else:
         spec = surfaces.get(text)
 
@@ -373,17 +379,12 @@ def _parse_boundary(text):
 def cmd_solve(args) -> int:
     from . import solver
 
-    try:
-        k1, k2, k0, eps = (float(t) for t in args.ambient.split(","))
-        if not eps.is_integer():
-            raise ValueError(f"the ambient sign eps must be +1 or -1, got {eps:g}")
-        ambient = surfaces.AmbientMetric(k1, k2, k0, int(eps))
-        nx, ny = (int(t) for t in args.grid.split(","))
-        domain = tuple(float(t) for t in args.domain.split(","))
-        if len(domain) != 4:
-            raise ValueError("domain needs 4 numbers")
-    except ValueError as exc:
-        raise UsageError(f"bad flag value: {exc}")
+    k1, k2, k0, eps = _numbers("--ambient", args.ambient, "K1,K2,K0,EPS")
+    if not eps.is_integer():
+        raise UsageError(f"the --ambient sign eps must be +1 or -1, got {eps:g}")
+    ambient = surfaces.AmbientMetric(k1, k2, k0, int(eps))
+    nx, ny = _numbers("--grid", args.grid, "NX,NY", int)
+    domain = tuple(_numbers("--domain", args.domain, "X0,X1,Y0,Y1"))
 
     boundary, boundary_file = _parse_boundary(args.boundary)
     if boundary_file is not None:
@@ -458,10 +459,7 @@ def _parse_metric(text, point):
 
 
 def cmd_curvature(args) -> int:
-    try:
-        px, py = (float(t) for t in args.point.split(","))
-    except ValueError:
-        raise UsageError(f"bad --point {args.point!r}")
+    px, py = _numbers("--point", args.point, "X,Y")
     if not np.all(np.isfinite((px, py))):
         raise UsageError(f"--point must be two finite numbers, got {args.point!r}")
     comp, d1, d2 = _parse_metric(args.metric, (px, py))

@@ -8,11 +8,12 @@ the full identity suite (17 named checks) whose simultaneous vanishing on
 minimal surfaces is what the Ricci-flat construction rests on.
 
 ``SurfaceFrame`` is the one owner of these quantities for a batch of
-points: it holds the jets and computes the shared plain arrays once, and
-the identity suite and assembly take them from it.  ``frame_at`` is the
-screened entry point: it checks that every point is admissible and builds
-the frame; a single point is a batch of one, and callers read its fields
-(``K``, ``H``, ``r``, ``lambda0``, ...) at index 0.
+points: built from the ambient metric and phi's jet alone, it holds the
+jets and computes the shared plain arrays once, and the identity suite and
+assembly take them from it.  ``frame_at`` is the screened entry point: it
+checks that every point is admissible, evaluates phi and builds the frame;
+a single point is a batch of one, and callers read its fields (``K``,
+``H``, ``r``, ``lambda0``, ...) at index 0.
 
 All divergence- and Laplacian-type checks are evaluated by jet propagation
 of the bracketed expressions, never by numerical differentiation; the
@@ -37,7 +38,7 @@ import numpy as np
 from . import jets
 from .curvature import SingularMetric, ricci_arrays
 from .jets import DomainError, Jet3, deriv
-from .surfaces import InadmissiblePoint, SurfaceSpec
+from .surfaces import AmbientMetric, InadmissiblePoint, SurfaceSpec
 
 #: names of every identity check, in reporting order
 CHECK_NAMES = ("P1", "C1", "C2a", "C2b", "P2a", "P2b", "P3a", "P3b", "P3c",
@@ -56,7 +57,8 @@ class CheckConstants:
 
 
 class SurfaceFrame:
-    """Batched jet workspace for a surface at an array of sample points.
+    """Batched jet workspace for a surface at an array of sample points,
+    from the ambient metric and the order-3 jet of phi at those points.
 
     It also owns the plain arrays that the identity suite and assembly
     share, each computed once here: the values of h and h^{-1}, g's engine
@@ -65,10 +67,9 @@ class SurfaceFrame:
     DomainError.
     """
 
-    def __init__(self, spec: SurfaceSpec, x, y):
-        self.ambient = amb = spec.ambient
-        f = spec.phi_jet(x, y)
-        self.phi = f
+    def __init__(self, ambient: AmbientMetric, phi: Jet3):
+        self.ambient = amb = ambient
+        self.phi = f = phi
         self.p = [deriv(f, 0), deriv(f, 1)]  # jets of phi_{,mu}, valid to order 2
         up = amb.raised(*self.p)  # phi^mu
         self.rho = amb.rho(*self.p)
@@ -156,7 +157,7 @@ def frame_at(spec: SurfaceSpec, p) -> SurfaceFrame:
         raise InadmissiblePoint(
             "point ({:g}, {:g}) is outside the domain or admissible set of {}; its domain is x in "
             "[{:g}, {:g}], y in [{:g}, {:g}]".format(x[bad][0], y[bad][0], spec.name, *spec.domain))
-    return SurfaceFrame(spec, x, y)
+    return SurfaceFrame(spec.ambient, spec.phi_jet(x, y))
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,9 @@ def load_solution(path) -> GridSolution:
     if len(numbers) != nx * ny:
         raise ValueError(f"expected {nx * ny} values, found {len(numbers)}")
     values = np.array(numbers).reshape(nx, ny)
+    if not np.isfinite(values).all():
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        raise ValueError(f"{path}: node ({i}, {j}) holds the non-finite value {values[i, j]:g}")
     return GridSolution(nx, ny, (x0, x1), (y0, y1), values,
                         AmbientMetric(k1, k2, k0, eps), converged=converged)
 

@@ -45,8 +45,13 @@ class AmbientMetric:
     def __post_init__(self):
         if self.eps not in (1, -1):
             raise ValueError("eps must be +1 or -1")
-        if self.det == 0.0:
-            raise ValueError("ambient 2-metric must have non-zero determinant")
+        try:
+            det = self.det
+        except OverflowError:  # k0 ** 2 beyond the float range
+            det = math.inf
+        if not (all(map(math.isfinite, (self.k1, self.k2, self.k0, det))) and det != 0.0):
+            raise ValueError("the ambient 2-metric needs finite k1, k2, k0 and a finite non-zero determinant "
+                             f"k1 k2 - k0^2, got {self.k1:g},{self.k2:g},{self.k0:g}")
 
     @property
     def det(self) -> float:

@@ -52,9 +52,9 @@ def test_criterion_1_ricci_flat_construction():
         worst = 0.0
         for name in RICCI_FLAT_SURFACES:
             spec = surfaces.get(name)
-            x, y, _, _ = draw_points(spec, assembly.AssemblyConfig(), 100, SEED)
+            x, y, _, _, phi = draw_points(spec, assembly.AssemblyConfig(), 100, SEED)
             assert x.size == 100
-            fr = SurfaceFrame(spec, x, y)
+            fr = SurfaceFrame(spec.ambient, phi)
             # all conformal-factor bases are positive on these surfaces, so
             # the same 100 points serve every configuration (no skips)
             assert (fr.rho.value > 0).all()
@@ -80,8 +80,8 @@ def test_criterion_2_negative_control():
     with criterion(2, "negative control fails as it must"):
         spec = surfaces.get("nonminimal_x2")
         cfg = assembly.AssemblyConfig(1, (1,), 0.0, 0.0, 0.0)
-        x, y, _, _ = draw_points(spec, cfg, 100, SEED)
-        fr = SurfaceFrame(spec, x, y)
+        x, y, _, _, phi = draw_points(spec, cfg, 100, SEED)
+        fr = SurfaceFrame(spec.ambient, phi)
         comp, d1, d2 = assembly.assemble_arrays(fr, cfg)
         ric, _, denom = curvature.ricci_arrays(comp, d1, d2)
         assert (np.abs(ric).max(axis=(-2, -1)) / denom).max() > 1e-2
@@ -99,8 +99,8 @@ def test_criterion_3_identity_suite():
         for spec in surfaces.catalog():
             if spec.non_minimal:
                 continue
-            x, y, _, _ = draw_points(spec, assembly.AssemblyConfig(), 100, SEED)
-            fr = SurfaceFrame(spec, x, y)
+            x, y, _, _, phi = draw_points(spec, assembly.AssemblyConfig(), 100, SEED)
+            fr = SurfaceFrame(spec.ambient, phi)
             for consts in draws:
                 checks = run_identity_checks(fr, consts)
                 for cname in CHECK_NAMES:

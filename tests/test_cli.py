@@ -296,9 +296,12 @@ def test_solve_degenerate_or_reversed_domain_exit2(capsys, tmp_path, domain, mes
     assert not path.exists()
 
 
-def _grid_file(nx, ny, domain):
-    rows = "".join(" ".join(["0"] * ny) + "\n" for _ in range(nx))
-    return f"minsurf v1 {nx} {ny} {domain} 1 1 0 1\n{rows}"
+def _grid_file(nx, ny, domain, ambient="1 1 0 1", center="0"):
+    """A minsurf v1 file of zeros, with ``center`` at the middle node."""
+    rows = [["0"] * ny for _ in range(nx)]
+    rows[nx // 2][ny // 2] = center
+    body = "".join(" ".join(row) + "\n" for row in rows)
+    return f"minsurf v1 {nx} {ny} {domain} {ambient}\n{body}"
 
 
 @pytest.mark.parametrize("text,message", [
@@ -306,7 +309,11 @@ def _grid_file(nx, ny, domain):
     pytest.param("minsurf v1 9 9 0 1 0 1\n", "header has 12 fields, found 8", id="short-header"),
     pytest.param(_grid_file(9, 9, "0 1e-300 0 1"), "on a 9x9 grid gives spacing", id="spacing-underflows"),
     pytest.param(_grid_file(2, 9, "0 1 0 1"), "grid must be at least 3x3", id="2x9-grid"),
-    pytest.param(_grid_file(9, 9, "1 0 0 1"), "finite x0 < x1 and y0 < y1", id="reversed-domain")])
+    pytest.param(_grid_file(9, 9, "1 0 0 1"), "finite x0 < x1 and y0 < y1", id="reversed-domain"),
+    *(pytest.param(_grid_file(9, 9, "0 1 0 1", center=v), f"node (4, 4) holds the non-finite value {v}",
+                   id=f"{v}-node") for v in ("nan", "inf")),
+    *(pytest.param(_grid_file(9, 9, "0 1 0 1", ambient=f"{a} 1"), "needs finite k1, k2, k0 and a finite non-zero",
+                   id=f"ambient-{a.replace(' ', ',')}") for a in ("inf 1 0", "1e308 1e308 0"))])
 @pytest.mark.parametrize("command", ["verify", "solve"])
 def test_malformed_solution_file_exit2_one_line(capsys, tmp_path, text, message, command):
     """verify --grid and solve --boundary file: check a file's header and grid
@@ -436,10 +443,38 @@ def test_solve_scherk_65(capsys, tmp_path):
     assert final["residual"] < 1e-10
 
 
-def test_solve_malformed_ambient_exit2(capsys, tmp_path):
-    code, _, err = run(capsys, "solve", "--boundary", "scherk", "--ambient", "1,1,0",
-                       "--grid", "9,9", "--out", str(tmp_path / "x.txt"))
-    assert code == 2
+@pytest.mark.parametrize("ambient,message", [
+    *(pytest.param(a, f"--ambient needs K1,K2,K0,EPS, got '{a}'", id=a) for a in ("1,1,0", "1,1,0,1,5")),
+    *(pytest.param(a, "error: the ambient 2-metric needs finite k1, k2, k0 and a finite non-zero "
+                      "determinant k1 k2 - k0^2, got ", id=a)
+      # the last three overflow or zero the determinant
+      for a in ("inf,1,0,1", "nan,1,0,1", "1,1,-inf,1", "1e308,1e308,0,1", "1,1,1e200,1", "1,1,1,1"))])
+def test_solve_malformed_ambient_exit2(capsys, tmp_path, ambient, message):
+    path = tmp_path / "x.minsurf"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "solve", "--boundary", "scherk", f"--ambient={ambient}",
+                             "--grid", "9,9", "--out", str(path))
+    assert caught == []
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--grid", "65", "--grid needs NX,NY, got '65'"),
+    ("--grid", "9.5,9", "--grid needs NX,NY, got '9.5,9'"),
+    ("--grid", "9,9,9", "--grid needs NX,NY, got '9,9,9'"),
+    ("--domain", "0,1,0", "--domain needs X0,X1,Y0,Y1, got '0,1,0'"),
+    ("--domain", "0,1,0,a", "--domain needs X0,X1,Y0,Y1, got '0,1,0,a'"),
+    ("--boundary", "linear:1,2", "--boundary linear: needs A,B,C, got '1,2'")],
+    ids=["grid-65", "grid-9.5,9", "grid-9,9,9", "domain-0,1,0", "domain-0,1,0,a", "linear-1,2"])
+def test_solve_list_flags_name_themselves(capsys, tmp_path, flag, value, message):
+    path = tmp_path / "x.minsurf"
+    argv = {"--boundary": "linear:1,2,0", "--grid": "9,9", flag: value}
+    code, out, err = run(capsys, "solve", *(f"{k}={v}" for k, v in argv.items()), "--out", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("eps", ["1.9", "-1.5", "0.5", "inf", "nan"])
@@ -609,16 +644,25 @@ def test_dumps_rejects_non_finite_floats(value):
 def test_verify_oracle_builds_two_frames(capsys, monkeypatch):
     # one frame for the sampled batch, one for all nine stencil offsets of the oracle
     init, shapes = cli.geometry2d.SurfaceFrame.__init__, []
+    phi_jet, points = cli.surfaces.SurfaceSpec.phi_jet, []
 
-    def counted(self, spec, x, y):
-        shapes.append(np.shape(x))
-        init(self, spec, x, y)
+    def counted(self, ambient, phi):
+        shapes.append(phi.value.shape)
+        init(self, ambient, phi)
+
+    def evaluated(self, x, y):
+        points.append(np.size(x))
+        return phi_jet(self, x, y)
 
     monkeypatch.setattr(cli.geometry2d.SurfaceFrame, "__init__", counted)
+    monkeypatch.setattr(cli.surfaces.SurfaceSpec, "phi_jet", evaluated)
     code, rep, _ = verify_report(capsys, "--surface", "scherk", "--n", "2", "--eps-blocks=1,-1",
                                  "--samples", "30", "--oracle")
     assert code == 0 and rep["oracle"]["points"] == cli.ORACLE_POINTS
     assert shapes == [(30,), (3, 3, cli.ORACLE_POINTS)]
+    # phi is evaluated once per candidate, while screening (a chunk holds at
+    # least 32), and once per oracle stencil point: the batch frame reuses the jets
+    assert points == [32, 9 * cli.ORACLE_POINTS]
 
 
 def test_sampler_redraws_and_counts_skips():
@@ -631,11 +675,30 @@ def test_sampler_redraws_and_counts_skips():
 
     half = SurfaceSpec("half", phi, EUCLIDEAN, (-1, 1, -1, 1),
                        admissible=lambda x, y: x > 0.0)
-    x, y, requested, skips = cli.draw_points(half, assembly.AssemblyConfig(), 50, seed=3)
+    x, y, requested, skips, phi = cli.draw_points(half, assembly.AssemblyConfig(), 50, seed=3)
     assert x.size == 50 and (x > 0).all()
+    # the jets screened over several redraw chunks are phi's at the accepted points
+    assert np.array_equal(phi.c.view(np.int64), half.phi_jet(x, y).c.view(np.int64))
     assert requested == 50 + skips["NEAR_SINGULAR"]
     assert skips["NEAR_SINGULAR"] > 0
     assert skips["RHO_NONPOSITIVE"] == skips["LOG_DOMAIN"] == 0
+
+
+@pytest.mark.parametrize("samples", [50, 333])
+def test_sampler_jets_skip_every_reason(samples):
+    """phi = x*y over the Lorentzian ambient: rho = 1 + y^2 - x^2 and w2 = x^2 - 1
+    change sign in the domain, so candidates are skipped for all three reasons
+    over several redraw chunks; the returned jets are phi's at the accepted points."""
+    from minsurf import assembly
+    from minsurf.jets import Jet3
+    from minsurf.surfaces import LORENTZIAN, SurfaceSpec
+
+    spec = SurfaceSpec("xy", lambda x, y: Jet3.variable("x", x) * Jet3.variable("y", y), LORENTZIAN,
+                       (0.0, 2.0, 0.0, 2.0), admissible=lambda x, y: x + y > 0.5)
+    cfg = assembly.AssemblyConfig(2, (1, 1), 0.0, 0.0, 0.25)  # fractional exponents of w1, w2, rho
+    x, y, requested, skips, phi = cli.draw_points(spec, cfg, samples, seed=4)
+    assert x.size == samples and requested > 2 * samples and min(skips.values()) > 0
+    assert np.array_equal(phi.c.view(np.int64), spec.phi_jet(x, y).c.view(np.int64))
 
 
 def test_sampler_log_domain_exhaustion(capsys):

@@ -206,8 +206,8 @@ def assert_bits_equal(got, want):
 
 def sampled_frame(name, cfg, samples, seed=7):
     spec = surfaces.get(name)
-    x, y, _, _ = cli.draw_points(spec, cfg, samples, seed)
-    return geometry2d.SurfaceFrame(spec, x, y)
+    phi = cli.draw_points(spec, cfg, samples, seed)[4]
+    return geometry2d.SurfaceFrame(spec.ambient, phi)
 
 
 MIXED_CONFIGS = [
@@ -358,11 +358,12 @@ def test_block_points_bound_the_per_block_temporaries():
 def test_batched_ricci_fd_equals_pointwise_loop():
     spec = surfaces.scherk()
     cfg = assembly.AssemblyConfig(3, (1, -1, 1), 0.3, 1.0, 0.5)
-    x, y, _, _ = cli.draw_points(spec, cfg, 10, seed=11)
+    x, y, _, _, _ = cli.draw_points(spec, cfg, 10, seed=11)
     calls = []
 
     def field(px, py):
-        return assembly.assemble_arrays(geometry2d.SurfaceFrame(spec, px, py), cfg)[0]
+        fr = geometry2d.SurfaceFrame(spec.ambient, spec.phi_jet(px, py))
+        return assembly.assemble_arrays(fr, cfg)[0]
 
     def counted(px, py):
         calls.append((px, py))

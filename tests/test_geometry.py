@@ -14,7 +14,7 @@ MINIMAL = [s for s in surfaces.catalog() if not s.non_minimal]
 
 
 def frame_at_points(spec, count, seed):
-    return SurfaceFrame(spec, *interior_batch(spec, count, seed, shrink=0.0))
+    return SurfaceFrame(spec.ambient, spec.phi_jet(*interior_batch(spec, count, seed, shrink=0.0)))
 
 
 def laplace_beltrami(metric, f):
@@ -172,7 +172,7 @@ def test_laplace_scherk_psi0_vs_fd_divergence():
     e = 1e-4
     fd = ((flux(x + e, y, 0) - flux(x - e, y, 0)) / (2 * e)
           + (flux(x, y + e, 1) - flux(x, y - e, 1)) / (2 * e))
-    fr = SurfaceFrame(scherk(), np.array([x]), np.array([y]))
+    fr = SurfaceFrame(scherk().ambient, scherk().phi_jet(np.array([x]), np.array([y])))
     jet_val = laplace_beltrami(fr.g, fr.psi0)[0]
     assert jet_val == pytest.approx(fd, abs=1e-6)
 
@@ -228,7 +228,7 @@ def test_rho_is_one_formula(make):
     f = spec.phi_jet(x, y)
     screened = spec.ambient.rho(f.partial(1, 0), f.partial(0, 1))
     assert np.all(screened > 0.0)
-    assert same_bits(SurfaceFrame(spec, x, y).rho.value, screened)
+    assert same_bits(SurfaceFrame(spec.ambient, f).rho.value, screened)
 
 
 @pytest.mark.parametrize("spec", surfaces.catalog(), ids=lambda s: s.name)
@@ -300,7 +300,7 @@ def test_mixed_log_domain_mask_matches_single_points():
                        surfaces.LORENTZIAN, (0.0, 2.0, 0.0, 2.0))
     x = np.array([0.8, 1.2, 0.9, 1.1, 0.5])
     y = np.array([1.0, 1.0, 0.7, 0.8, 0.3])
-    fr = SurfaceFrame(spec, x, y)
+    fr = SurfaceFrame(spec.ambient, spec.phi_jet(x, y))
     assert np.all(fr.rho.value > 0.0)
     w_ok = (fr.w[0].value > 0.0) & (fr.w[1].value > 0.0)
     assert w_ok.tolist() == [False, True, False, True, False]
