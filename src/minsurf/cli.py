@@ -424,35 +424,25 @@ def _parse_metric(text, point):
             raise UsageError(f"bad sphere radius in {text!r}")
         return curvature.sphere_metric(point, a)
     if text.startswith("assembled:"):
-        toks = text[len("assembled:"):].split(",")
-        if not toks or not toks[0]:
+        name, *opts = text[len("assembled:"):].split(",")
+        if not name:
             raise UsageError(f"bad assembled metric spec {text!r}")
-        name = toks[0]
-        opts = {}
-        for tok in toks[1:]:
-            if "=" not in tok:
-                raise UsageError(f"bad assembled metric option {tok!r}")
-            key, val = tok.split("=", 1)
-            if key in opts:
-                raise UsageError(f"duplicate assembled metric option {key!r}")
-            opts[key] = val
-
-        def option(key, kind, default):
-            text = opts.pop(key, default)
-            try:
-                return kind(text)
-            except ValueError:
-                raise UsageError(f"assembled metric option {key} must be "
-                                 f"{'an integer' if kind is int else 'a number'}, got {text!r}")
-        n = option("n", int, "1")
-        signs = opts.pop("eps", "+" * n)  # compact sign string, e.g. eps=+-+
+        keys = [opt.partition("=")[0] for opt in opts]
+        for key in keys:
+            if keys.count(key) > 1:
+                raise UsageError(f"assembled metric option {key!r} is given more than once")
+        # each k=v is read as the flag --k=v, as --config lines are
+        parser = _Parser(prog=f"assembled:{name}", add_help=False, allow_abbrev=False)
+        parser.add_argument("--n", type=int, default=1)
+        parser.add_argument("--eps")  # compact sign string, e.g. eps=+-+
+        for key in ("e0", "m1", "n1"):
+            parser.add_argument(f"--{key}", type=float, default=0.0)
+        flags = parser.parse_args(["--" + opt for opt in opts])
+        n, signs = flags.n, "+" * flags.n if flags.eps is None else flags.eps
         if len(signs) != n or any(s not in "+-" for s in signs):
             raise UsageError(f"eps must be {n} signs of +/-, got {signs!r}")
-        cfg = assembly.AssemblyConfig(
-            n=n, eps_blocks=tuple(1 if s == "+" else -1 for s in signs),
-            e0=option("e0", float, "0"), m1=option("m1", float, "0"), n1=option("n1", float, "0"))
-        if opts:
-            raise UsageError(f"unknown assembled metric options {sorted(opts)}")
+        cfg = assembly.AssemblyConfig(n=n, eps_blocks=tuple(1 if s == "+" else -1 for s in signs),
+                                      e0=flags.e0, m1=flags.m1, n1=flags.n1)
         arrays = assembly.assemble_arrays(geometry2d.frame_at(surfaces.get(name), point), cfg)
         return tuple(a[0] for a in arrays)
     raise UsageError(f"unknown metric {text!r}")

@@ -78,13 +78,15 @@ class SurfaceFrame:
         self.log_rho = jets.log(self.rho)
         self.sr = jets.sqrt(self.rho)
         g0, gi = amb.g0, amb.g0_inv
-        self.h = [[g0[m, n] + amb.eps * self.p[m] * self.p[n] for n in range(2)] for m in range(2)]
+        eps_p = [amb.eps * q for q in self.p]
+        self.h = [[g0[m, n] + eps_p[m] * self.p[n] for n in range(2)] for m in range(2)]
         eps_rho = amb.eps / self.rho
-        self.h_inv = [[gi[m, n] - eps_rho * up[m] * up[n] for n in range(2)] for m in range(2)]
+        eps_up = [eps_rho * u for u in up]
+        self.h_inv = [[gi[m, n] - eps_up[m] * up[n] for n in range(2)] for m in range(2)]
         inv_sr = jets.powr(self.sr, -1)
         self.g = [[self.h[m][n] * inv_sr for n in range(2)] for m in range(2)]
         self.sqrt_det_g, self.g_inv = _inverse(self.g)
-        self.w = amb.weights(self.p[0], self.p[1])
+        self.w = (self.h[0][0], self.h[1][1])  # w1 = k1 + eps phi_x^2, w2 = k2 + eps phi_y^2
         self.xi = [self.g_inv[0][0], self.g_inv[1][1]]
         self.psi0 = -0.25 * self.log_rho
 

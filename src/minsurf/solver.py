@@ -257,9 +257,14 @@ def load_solution(path) -> GridSolution:
     head = raw[0].split()
     if len(head) != 12:
         raise ValueError(f"{path}: a {FORMAT_MAGIC} header has 12 fields, found {len(head)}")
-    nx, ny = int(head[2]), int(head[3])
-    x0, x1, y0, y1, k1, k2, k0 = (float(v) for v in head[4:11])
-    eps = int(head[11])
+    fields = []
+    for name, tok in zip(("nx", "ny", "x0", "x1", "y0", "y1", "k1", "k2", "k0", "eps"), head[2:]):
+        kind = int if name in ("nx", "ny", "eps") else float
+        try:
+            fields.append(kind(tok))
+        except ValueError:
+            raise ValueError(f"{path}: header field {name} must be {kind.__name__}, got {tok!r}") from None
+    nx, ny, x0, x1, y0, y1, k1, k2, k0, eps = fields
     _check_grid(nx, ny, (x0, x1, y0, y1))
     converged = True
     numbers = []

@@ -10,7 +10,6 @@ exactly.
 
 from __future__ import annotations
 
-import functools
 import inspect
 import math
 from dataclasses import dataclass, field
@@ -157,33 +156,36 @@ def catenoid() -> SurfaceSpec:
     return SurfaceSpec("catenoid", phi, EUCLIDEAN, (1.2, 2.5, -0.8, 0.8), admissible)
 
 
-_WAVE_PROFILES = {
-    "sinh": lambda u, slope: jets.sinh(u),
-    "linear": lambda u, slope: slope * u,
-}
+def _wave(name, direction, domain):
+    """The catalog factory of the travelling wave phi = F(x + direction*y) in
+    the Lorentzian ambient, F(u) = sinh(u) or slope * u.
 
-
-def bi_wave(profile="sinh", slope=2.0, direction=1) -> SurfaceSpec:
-    """Travelling wave phi = F(x + direction*y) in the Lorentzian ambient.
-
-    Any smooth F solves the minimal-surface (Born-Infeld) equation for this
-    ambient.  The admissible strip keeps w2 = F'(u)^2 - 1 bounded away from
-    zero for the sinh profile (w2 = sinh(u)^2 vanishes at u = 0).
+    Every smooth F solves the minimal-surface (Born-Infeld) equation for this
+    ambient only when direction = +-1, so a wave's name fixes its direction.
+    The admissible strip keeps w2 = F'(u)^2 - 1 bounded away from zero for
+    the sinh profile (w2 = sinh(u)^2 vanishes at u = 0).
     """
-    if profile not in _WAVE_PROFILES:
-        raise ValueError(f"unknown wave profile {profile!r}")
-    F = _WAVE_PROFILES[profile]
 
-    def phi(x, y):
-        u = Jet3.variable("x", x) + float(direction) * Jet3.variable("y", y)
-        return F(u, slope)
+    def factory(profile="sinh", slope=2.0) -> SurfaceSpec:
+        """The wave with F = sinh or, for profile='linear', F(u) = slope * u."""
+        if profile not in ("sinh", "linear"):
+            raise ValueError(f"unknown wave profile {profile!r}")
+        if profile == "sinh" and slope != 2.0:  # the default
+            raise ValueError(f"slope applies to the linear profile only, got slope={slope!r} with profile='sinh'")
 
-    def admissible(x, y):
-        return np.abs(x + direction * y) >= 0.5
+        def phi(x, y):
+            u = Jet3.variable("x", x) + direction * Jet3.variable("y", y)
+            return slope * u if profile == "linear" else jets.sinh(u)
 
-    name = "bi_wave" if direction == 1 else "bi_wave_minus"
-    domain = (0.3, 1.3, 0.3, 1.3) if direction == 1 else (1.0, 2.0, -0.4, 0.4)
-    return SurfaceSpec(name, phi, LORENTZIAN, domain, admissible)
+        def admissible(x, y):
+            return np.abs(x + direction * y) >= 0.5
+
+        return SurfaceSpec(name, phi, LORENTZIAN, domain, admissible)
+    return factory
+
+
+bi_wave = _wave("bi_wave", 1.0, (0.3, 1.3, 0.3, 1.3))
+bi_wave_minus = _wave("bi_wave_minus", -1.0, (1.0, 2.0, -0.4, 0.4))
 
 
 def nonminimal_x2() -> SurfaceSpec:
@@ -202,7 +204,7 @@ _FACTORIES = {
     "helicoid": helicoid,
     "catenoid": catenoid,
     "bi_wave": bi_wave,
-    "bi_wave_minus": functools.partial(bi_wave, direction=-1),
+    "bi_wave_minus": bi_wave_minus,
     "nonminimal_x2": nonminimal_x2,
 }
 

@@ -196,6 +196,29 @@ def test_verify_bad_config_line_exit2(capsys, tmp_path, line):
     assert out == "" and err.count("\n") == 1
 
 
+def test_verify_config_file_skips_comments_and_blank_lines(capsys, tmp_path):
+    plain, commented = tmp_path / "plain.cfg", tmp_path / "commented.cfg"
+    plain.write_text("surface = plane\nsamples = 5\nn = 2\n")
+    commented.write_text("# a run\n\nsurface = plane\n   \n  # five points\nsamples = 5\n\nn = 2\n")
+    (code, out, _), (code2, out2, _) = (run(capsys, "verify", "--config", str(p)) for p in (plain, commented))
+    strip = lambda s: re.sub(r'"wall_time_ms": \d+', "", s)
+    assert code == code2 == 0 and json.loads(out)["config"]["n"] == 2
+    assert strip(out) == strip(out2)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--surface", "plane", "--param", "a"], "--param expects key=value, got 'a'"),
+    (["--surface", "plane", "--n", "2", "--eps-blocks=1,x"], "bad --eps-blocks '1,x'"),
+    # a wave's direction is its catalog name, and slope shapes the linear profile only
+    *((["--surface", name, "--param", f"direction={d}"],
+       f"surface '{name}' has no parameter 'direction' (have: profile, slope)")
+      for name in ("bi_wave", "bi_wave_minus") for d in ("-1", "0.5", "1")),
+    (["--surface", "bi_wave", "--param", "slope=3"],
+     "slope applies to the linear profile only, got slope=3.0 with profile='sinh'")])
+def test_verify_malformed_surface_or_block_flags_exit2(capsys, argv, message):
+    assert run(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [["verify", "--samples", "abc"], ["verify", "--bogus"],
                                   ["solve", "--boundary", "scherk", "--tol", "abc", "--out", "OUT"],
                                   ["solve", "--boundary", "scherk"],
@@ -313,7 +336,14 @@ def _grid_file(nx, ny, domain, ambient="1 1 0 1", center="0"):
     *(pytest.param(_grid_file(9, 9, "0 1 0 1", center=v), f"node (4, 4) holds the non-finite value {v}",
                    id=f"{v}-node") for v in ("nan", "inf")),
     *(pytest.param(_grid_file(9, 9, "0 1 0 1", ambient=f"{a} 1"), "needs finite k1, k2, k0 and a finite non-zero",
-                   id=f"ambient-{a.replace(' ', ',')}") for a in ("inf 1 0", "1e308 1e308 0"))])
+                   id=f"ambient-{a.replace(' ', ',')}") for a in ("inf 1 0", "1e308 1e308 0")),
+    # a header field that does not parse is named, with the file
+    pytest.param(_grid_file(9, 9, "0 1 0 1", ambient="1 1 0 1.5"),
+                 "bad.minsurf: header field eps must be int, got '1.5'", id="eps-1.5"),
+    pytest.param("minsurf v1 9.0 9 0 1 0 1 1 1 0 1\n", "bad.minsurf: header field nx must be int, got '9.0'",
+                 id="nx-9.0"),
+    pytest.param(_grid_file(9, 9, "0 1 0 one"), "bad.minsurf: header field y1 must be float, got 'one'",
+                 id="y1-one")])
 @pytest.mark.parametrize("command", ["verify", "solve"])
 def test_malformed_solution_file_exit2_one_line(capsys, tmp_path, text, message, command):
     """verify --grid and solve --boundary file: check a file's header and grid
@@ -338,6 +368,26 @@ def test_solve_bad_tol_or_max_iter_exit2(capsys, tmp_path, flags):
                          "--out", str(path))
     assert code == 2
     assert out == "" and err.count("\n") == 1
+    assert not path.exists()
+
+
+def test_solve_max_iter_zero_exit1_writes_unconverged_file(capsys, tmp_path):
+    path = tmp_path / "s.minsurf"
+    code, out, err = run(capsys, "solve", "--boundary", "scherk", "--grid", "17,17", "--max-iter", "0",
+                         "--out", str(path))
+    assert code == 1
+    assert re.fullmatch(r"error: residual \S+ after 0 iterations\n", err)
+    assert [json.loads(line)["iteration"] for line in out.splitlines()] == [0]
+    assert path.read_text().splitlines()[-1] == "# converged=false"
+    assert not load_solution(path).converged
+
+
+def test_solve_degenerate_rho_exit1_writes_no_file(capsys, tmp_path):
+    # phi = x in the ambient with eps = -1: rho = 1 - phi_x^2 vanishes everywhere
+    path = tmp_path / "d.minsurf"
+    code, out, err = run(capsys, "solve", "--boundary", "linear:1,0,0", "--ambient", "1,1,0,-1",
+                         "--grid", "9,9", "--out", str(path))
+    assert (code, out, err) == (1, "", "error: discrete rho changes sign (degenerate induced metric)\n")
     assert not path.exists()
 
 
@@ -610,9 +660,17 @@ def test_curvature_invalid_specs(capsys):
     assert run(capsys, "curvature", "--metric", "flat", "--point", "zero")[0] == 2
     assert run(capsys, "curvature", "--metric", "assembled:scherk,n=2,eps=+x",
                "--point", "0,0")[0] == 2
-    for opt, what in (("n=x", "n must be an integer, got 'x'"), ("e0=abc", "e0 must be a number, got 'abc'")):
+    # assembled: options are read as the flags --k=v; each bad one is one line naming its key
+    for opt, what in (("n=x", "argument --n: invalid int value: 'x'"),
+                      ("e0=abc", "argument --e0: invalid float value: 'abc'"),
+                      ("eps=+x", "eps must be 1 signs of +/-, got '+x'"),
+                      ("n1=inf", "n1 must be a finite number, got inf"),
+                      ("n=1,e0=0,n=2", "assembled metric option 'n' is given more than once"),
+                      ("foo=1", "unrecognized arguments: --foo=1"),
+                      ("m=1", "unrecognized arguments: --m=1"),  # no abbreviation of m1
+                      ("n", "argument --n: expected one argument")):
         code, out, err = run(capsys, "curvature", "--metric", f"assembled:scherk,{opt}", "--point", "0.3,0.2")
-        assert (code, out, err) == (2, "", f"error: assembled metric option {what}\n")
+        assert (code, out, err) == (2, "", f"error: {what}\n")
 
 
 @pytest.mark.parametrize("point", ["inf,0", "0,-inf", "nan,0.5"])

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -117,6 +118,31 @@ def test_get_unknown_surface():
         get("gyroid")
     with pytest.raises(ValueError, match="profile"):
         get("bi_wave", {"profile": "cubic"})
+
+
+@pytest.mark.parametrize("name", ["bi_wave", "bi_wave_minus"])
+def test_wave_direction_is_its_name(name):
+    # phi = F(x + d y) is minimal for every F only at d = +-1, so d is no parameter
+    factory = surfaces._FACTORIES[name]
+    assert list(inspect.signature(factory).parameters) == ["profile", "slope"]
+    for d in (-1.0, 0.5, 1.0):
+        with pytest.raises(ValueError) as exc:
+            get(name, {"direction": d})
+        assert str(exc.value) == f"surface '{name}' has no parameter 'direction' (have: profile, slope)"
+    assert get(name).name == name
+
+
+@pytest.mark.parametrize("name", ["bi_wave", "bi_wave_minus"])
+def test_wave_slope_applies_to_linear_profile_only(name):
+    with pytest.raises(ValueError) as exc:
+        get(name, {"slope": 3.0})
+    assert str(exc.value) == "slope applies to the linear profile only, got slope=3.0 with profile='sinh'"
+    with pytest.raises(ValueError, match="linear profile only"):
+        get(name, {"profile": "sinh", "slope": 0.5})
+    assert get(name, {"profile": "sinh", "slope": 2.0}).name == name  # the default slope
+    x, y = interior_batch(get(name), 5, seed=4)
+    steep = get(name, {"profile": "linear", "slope": 3.0}).phi_jet(x, y)
+    assert np.all(steep.partial(1, 0) == 3.0)
 
 
 def test_helicoid_pitch_parameter():
