@@ -4,7 +4,7 @@ verification of the construction and of every supporting identity."""
 import importlib
 
 from .assembly import AssemblyConfig, assemble_arrays, conformal_factor_jet, signature_values
-from .curvature import SingularMetric, christoffel_arrays, ricci_arrays, ricci_fd
+from .curvature import BlockDiagonal, SingularMetric, christoffel_arrays, ricci_arrays, ricci_fd
 from .geometry2d import CheckConstants, SurfaceFrame, frame_at, run_identity_checks
 from .jets import DomainError, Jet3
 from .surfaces import AmbientMetric, InadmissiblePoint, SurfaceSpec, catalog, residual_values
@@ -18,8 +18,8 @@ _SOLVER_NAMES = frozenset({
 })
 
 __all__ = [
-    "AmbientMetric", "AssemblyConfig", "CheckConstants", "DomainError", "GridSolution",
-    "InadmissiblePoint", "Jet3", "NoConvergence", "SingularJacobian", "SingularMetric",
+    "AmbientMetric", "AssemblyConfig", "BlockDiagonal", "CheckConstants", "DomainError",
+    "GridSolution", "InadmissiblePoint", "Jet3", "NoConvergence", "SingularJacobian", "SingularMetric",
     "SurfaceFrame", "SurfaceSpec", "TooCloseToBoundary", "assemble_arrays", "catalog",
     "christoffel_arrays", "conformal_factor_jet", "frame_at", "grid_jets", "load_solution",
     "ricci_arrays", "ricci_fd", "residual_values", "run_identity_checks", "save_solution",

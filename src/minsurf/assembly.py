@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .curvature import metric_eigenvalues
+from .curvature import BlockDiagonal, metric_eigenvalues
 from .geometry2d import SurfaceFrame, matrix_jets_to_arrays
 
 
@@ -84,21 +84,18 @@ def conformal_factor_jet(fr: SurfaceFrame, cfg: AssemblyConfig):
 
 
 def assemble_arrays(fr: SurfaceFrame, cfg: AssemblyConfig):
-    """Batched (components, d1, d2) of the assembled metric over a frame of any batch shape."""
+    """(comp, d1, d2) of the assembled metric over a frame of any batch
+    shape, as BlockDiagonal arrays of two parts: the x-block e^{2 Phi} g
+    and g, which the y-blocks repeat with their signs eps_i."""
     e2 = conformal_factor_jet(fr, cfg)
-    xblock = [[e2 * fr.g[a][b] for b in range(2)] for a in range(2)]
-    out = []
-    for xa, ga in zip(matrix_jets_to_arrays(xblock), fr.g_arrays):
-        a = np.zeros(xa.shape[:-2] + (cfg.dim, cfg.dim))
-        a[..., :2, :2] = xa
-        for i, e in enumerate(cfg.eps_blocks):
-            a[..., 2 + 2 * i:4 + 2 * i, 2 + 2 * i:4 + 2 * i] = e * ga
-        out.append(a)
-    return tuple(out)
+    xblock = matrix_jets_to_arrays([[e2 * fr.g[a][b] for b in range(2)] for a in range(2)])
+    layout = ((0, 1),) + tuple((1, e) for e in cfg.eps_blocks)
+    return tuple(BlockDiagonal((xa, ga), layout) for xa, ga in zip(xblock, fr.g_arrays))
 
 
 def signature_values(comp) -> np.ndarray:
-    """Batched metric signature: (# positive - # negative eigenvalues)."""
+    """Batched metric signature: (# positive - # negative eigenvalues).  A
+    BlockDiagonal comp that the Ricci engine has read keeps its eigenvalues."""
     ev = metric_eigenvalues(comp)
     return (ev > 0).sum(axis=-1) - (ev < 0).sum(axis=-1)
 

@@ -228,7 +228,7 @@ def run_verification(spec, cfg, samples, seed, tol, oracle):
         k = min(ORACLE_POINTS, x.size)
         fd = curvature.ricci_fd(
             lambda px, py: assembly.assemble_arrays(
-                geometry2d.SurfaceFrame(spec.ambient, spec.phi_jet(px, py)), cfg)[0],
+                geometry2d.SurfaceFrame(spec.ambient, spec.phi_jet(px, py)), cfg)[0].dense(),
             (x[:k], y[:k]), ORACLE_STEP)
         oracle_entry = {"step": ORACLE_STEP, "points": k,
                         "max_abs_difference": float(np.abs(fd - ric[:k]).max())}
@@ -427,6 +427,8 @@ def _parse_metric(text, point):
         name, *opts = text[len("assembled:"):].split(",")
         if not name:
             raise UsageError(f"bad assembled metric spec {text!r}")
+        if "" in opts:
+            raise UsageError(f"empty option in assembled metric spec {text!r}")
         keys = [opt.partition("=")[0] for opt in opts]
         for key in keys:
             if keys.count(key) > 1:
@@ -438,13 +440,15 @@ def _parse_metric(text, point):
         for key in ("e0", "m1", "n1"):
             parser.add_argument(f"--{key}", type=float, default=0.0)
         flags = parser.parse_args(["--" + opt for opt in opts])
+        if flags.n < 1:
+            raise UsageError(f"n must be a positive integer, got {flags.n}")
         n, signs = flags.n, "+" * flags.n if flags.eps is None else flags.eps
         if len(signs) != n or any(s not in "+-" for s in signs):
             raise UsageError(f"eps must be {n} signs of +/-, got {signs!r}")
         cfg = assembly.AssemblyConfig(n=n, eps_blocks=tuple(1 if s == "+" else -1 for s in signs),
                                       e0=flags.e0, m1=flags.m1, n1=flags.n1)
         arrays = assembly.assemble_arrays(geometry2d.frame_at(surfaces.get(name), point), cfg)
-        return tuple(a[0] for a in arrays)
+        return tuple(a.dense()[0] for a in arrays)
     raise UsageError(f"unknown metric {text!r}")
 
 

@@ -3,13 +3,22 @@ curvature of a metric known together with its first and second derivatives
 along the first two coordinates (all remaining directions are flat by
 construction), plus an independent finite-difference Ricci oracle.
 
-A metric with derivatives is one format throughout: the arrays (comp, d1,
-d2) of shapes (..., dim, dim), (..., 2, dim, dim) and (..., 2, 2, dim, dim)
-that ``assembly.assemble_arrays`` and the built-in test metrics return and
-``christoffel_arrays`` and ``ricci_arrays`` read.
+A metric with derivatives is (comp, d1, d2), of shapes (..., dim, dim),
+(..., 2, dim, dim) and (..., 2, 2, dim, dim), given either as arrays or as
+``BlockDiagonal`` objects that store only the distinct diagonal blocks.
+``assembly.assemble_arrays`` returns the block form: the block metric
+e^{2 Phi} g + eps_1 g + ... is two 2 x 2 parts, the x-block and g, laid out
+with the signs.  ``christoffel_arrays`` and ``ricci_arrays`` read either
+form; a dense array is one block.  The engine inverts each part with one
+batched ``np.linalg.inv`` (inv(eps g) = eps inv(g), and a 2 x 2 inverse is
+bit for bit the dense inverse's block), and the singularity rule and the
+signature read one set of ``eigvalsh`` eigenvalues per part, which a
+BlockDiagonal keeps once computed.  ``BlockDiagonal.dense()`` builds the
+dim x dim arrays for callers that print or differentiate them: the
+``curvature`` command and the finite-difference oracle's field.
 
 ``central_differences`` is the one 9-point stencil of the oracle and the
-solver; ``metric_eigenvalues`` is the one singularity rule.
+solver; ``BlockDiagonal.eigenvalues`` is the one singularity rule.
 
 Index conventions: R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
 + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}, Ricci contracted on
@@ -25,12 +34,13 @@ The engine sums structural non-zeros only.  The block metrics
 e^{2 Phi} g + eps_1 g + ... are mostly exact zeros (at dim 8, 128 of the
 8192 products of d g^{-1} per point are not), so each contraction runs
 over term tables instead of dense arrays.  The pattern rule: an entry of
-g^{-1}, d g or d^2 g that is zero at every point of a block counts as
-zero, and an intermediate (S, Gamma, d g^{-1}, d S, d Gamma, each term of
-R) is structurally zero where each of its products has a structurally
-zero factor.  The tables are built with array operations from the three
+g^{-1}, d g or d^2 g that is off the diagonal blocks, or zero at every
+point of the batch, counts as zero, and an intermediate (S, Gamma,
+d g^{-1}, d S, d Gamma, each term of R) is structurally zero where each
+of its products has a structurally zero factor.  The tables are built with array operations from the three
 patterns and cached per pattern; a tensor's values are a (rows + 1,
-points) array over its structural non-zeros plus a +0 row.
+points) array over its structural non-zeros plus a +0 row, read straight
+from the parts, each entry times its block's sign.
 
 The summation-order contract: each contraction keeps the subscripts of
 the dense einsum engine it replaces, and its kept products, factors
@@ -41,9 +51,12 @@ Gamma^i_{de} Gamma^e_{ib} sums e outer, i inner).  A skipped product is
 +-0 and x + (+-0) = x, so every bit of Gamma, R, the scalar and denom,
 signed zeros included, is the dense engine's.  The scalar's einsum order
 depends on memory layout, so it stays an einsum over a dense R stored as
-the dense engine left it, [d, b] per point.  tests/test_curvature.py
-holds the dense engine as padded_ricci, checks the bits against it, and
-shows that a changed order fails that check.
+the dense engine left it, [d, b] per point, and a dense g^{-1} per block
+of points.  That g^{-1} holds +0 off the blocks where the dense inverse
+may hold -0; there R is +0 too, and a +-0 product added to a sum that
+starts at +0 changes no bit.  tests/test_curvature.py holds the dense
+engine as padded_ricci, checks the bits against it, and shows that a
+changed order fails that check.
 
 The finite-input requirement: a skipped product is only zero when its
 other factors are finite (0 * inf is nan), so d g and d^2 g must be
@@ -55,6 +68,7 @@ block_points(dim) points, so its temporaries do not grow with the batch.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -83,24 +97,62 @@ def block_points(dim):
     return max(1, RICCI_BLOCK * 8 // dim)
 
 
-def metric_eigenvalues(comp):
-    """Eigenvalues of the symmetric metrics comp (..., dim, dim), ascending.
+class BlockDiagonal:
+    """A batch of block-diagonal matrices, or of their derivatives, stored
+    as their distinct diagonal blocks.
 
-    Raises SingularMetric when any metric is singular: an entry or an
-    eigenvalue is not finite, or min|lambda| <= SINGULAR_RCOND max|lambda|.
-    The rule is scale-free, so c g is singular exactly when g is.
+    ``parts`` are arrays (..., k, k) with one leading shape: the batch axes,
+    then a derivative's direction axes.  ``layout`` lists the diagonal
+    blocks in order as (part index, sign) pairs: block j is
+    sign_j * parts[index_j].  ``shape`` is the dense shape (..., dim, dim)
+    and ``dense()`` builds that array.  A dense array is one block, laid
+    out as ((0, 1),).
     """
-    ev = np.linalg.eigvalsh(comp)
-    size = np.abs(ev)
-    if (not (np.all(np.isfinite(comp)) and np.all(np.isfinite(ev)))
-            or np.any(size.min(axis=-1) <= SINGULAR_RCOND * size.max(axis=-1))):
-        raise SingularMetric("metric is singular: smallest |eigenvalue| vanishes next to the largest")
-    return ev
+
+    def __init__(self, parts, layout):
+        self.parts, self.layout = tuple(parts), tuple(layout)
+        dim = sum(self.parts[i].shape[-1] for i, _ in self.layout)
+        self.shape = self.parts[0].shape[:-2] + (dim, dim)
+
+    def dense(self):
+        """The (..., dim, dim) array, zero off the blocks; a dense array's own."""
+        if self.layout == ((0, 1),):
+            return self.parts[0]
+        out = np.zeros(self.shape)
+        start = 0
+        for i, sign in self.layout:
+            span = slice(start, start + self.parts[i].shape[-1])
+            out[..., span, span] = sign * self.parts[i]
+            start = span.stop
+        return out
+
+    @functools.cached_property
+    def eigenvalues(self):
+        """Eigenvalues (..., dim) of the metrics, block by block: one
+        ``eigvalsh`` per part, computed once per object.
+
+        Raises SingularMetric when any metric is singular: an entry or an
+        eigenvalue is not finite, or min|lambda| <= SINGULAR_RCOND max|lambda|.
+        The rule is scale-free, so c g is singular exactly when g is.
+        """
+        ev = [np.linalg.eigvalsh(p) for p in self.parts]
+        ev = np.concatenate([sign * ev[i] for i, sign in self.layout], axis=-1)
+        size = np.abs(ev)
+        if (not (all(np.all(np.isfinite(p)) for p in self.parts) and np.all(np.isfinite(ev)))
+                or np.any(size.min(axis=-1) <= SINGULAR_RCOND * size.max(axis=-1))):
+            raise SingularMetric("metric is singular: smallest |eigenvalue| vanishes next to the largest")
+        return ev
 
 
-def _inverse(comp):
-    metric_eigenvalues(comp)
-    return np.linalg.inv(comp)
+def as_blocks(a):
+    """a as a BlockDiagonal: a dense array is one block."""
+    return a if isinstance(a, BlockDiagonal) else BlockDiagonal((np.asarray(a),), ((0, 1),))
+
+
+def metric_eigenvalues(comp):
+    """Eigenvalues of the symmetric metrics comp, ascending for a dense
+    (..., dim, dim) array; see ``BlockDiagonal.eigenvalues``."""
+    return as_blocks(comp).eigenvalues
 
 
 # ---------------------------------------------------------------------------
@@ -203,25 +255,69 @@ def _cached_plan(dim, *keys):
     return _Plan(*(np.frombuffer(k, dtype=bool).reshape(s) for k, s in zip(keys, shapes)))
 
 
-def _plan(gi, *derivatives):
-    """The plan of a block's structural non-zeros: an entry of g^{-1}, d g or
-    d^2 g that is zero at every point of the block counts as zero."""
-    return _cached_plan(gi.shape[-1], *((a != 0).any(axis=0).tobytes() for a in (gi,) + derivatives))
+@functools.lru_cache(maxsize=64)
+def _columns(shape, sizes, layout):
+    """Column of each entry of the dense shape (..., dim, dim) among the
+    concatenated entries of parts of sizes k x k laid out by layout, and the
+    entry's sign; -1 and 0 off the blocks.  Both flattened."""
+    extra = math.prod(shape[:-2])
+    offsets = np.cumsum((0,) + tuple(extra * k * k for k in sizes))
+    col, sign = np.full(shape, -1), np.zeros(shape)
+    start = 0
+    for i, s in layout:
+        span = (..., slice(start, start + sizes[i]), slice(start, start + sizes[i]))
+        col[span] = np.arange(offsets[i], offsets[i + 1]).reshape(shape[:-2] + (sizes[i],) * 2)
+        sign[span] = s
+        start += sizes[i]
+    col.flags.writeable = sign.flags.writeable = False  # shared by every caller
+    return col.ravel(), sign.ravel()
 
 
-def _values(a, cols):
-    """(len(cols) + 1, points) value array of the flattened entries cols of
-    a (points, ...) batch, with the trailing +0 row."""
-    out = np.zeros((cols.size + 1, a.shape[0]))
-    out[:-1] = a.reshape(a.shape[0], -1)[:, cols].T
-    return out
+class _Operand:
+    """An engine input with nlead batch axes: each part's entries as a
+    (points, columns) array, the column and sign of each entry of the dense
+    (..., dim, dim) shape, and its structural non-zeros: the entries on the
+    blocks that are non-zero at some point of the batch."""
+
+    def __init__(self, blocks, nlead):
+        points = math.prod(blocks.shape[:nlead])
+        self.flats = [p.reshape(points, math.prod(p.shape[nlead:])) for p in blocks.parts]
+        shape = blocks.shape[nlead:]
+        self.col, self.sign = _columns(shape, tuple(p.shape[-1] for p in blocks.parts), blocks.layout)
+        live = np.concatenate([(f != 0).any(axis=0) for f in self.flats])
+        self.pattern = ((self.col >= 0) & live[self.col]).reshape(shape)
+
+    def values(self, blk, cols):
+        """(len(cols) + 1, points) value array of the dense entries cols at
+        the points blk, with the trailing +0 row."""
+        flats = [f[blk] for f in self.flats]
+        flat = flats[0] if len(flats) == 1 else np.concatenate(flats, axis=1)
+        rows = flat[:, self.col[cols]].T
+        out = np.zeros((cols.size + 1, rows.shape[1]))
+        np.multiply(rows, self.sign[cols, None], out=out[:-1])
+        return out
 
 
-def _derivative_values(d, cols):
-    """_values of metric derivatives, which must be finite: a skipped
+def _prepared(comp, *derivatives):
+    """Batch shape, g^{-1}, plan and operands (g^{-1}, d g[, d^2 g]) of an
+    engine call over the flattened batch.  comp must pass the singularity
+    rule; a BlockDiagonal keeps its eigenvalues for signature_values."""
+    comp = as_blocks(comp)
+    metric_eigenvalues(comp)
+    lead = comp.shape[:-2]
+    # inv(sign * part) = sign * inv(part), so g^{-1} keeps comp's layout
+    gi = BlockDiagonal([np.linalg.inv(p).reshape((math.prod(lead),) + p.shape[-2:]) for p in comp.parts],
+                       comp.layout)
+    ops = [_Operand(gi, 1)] + [_Operand(as_blocks(d), len(lead)) for d in derivatives]
+    plan = _cached_plan(comp.shape[-1], *(op.pattern.tobytes() for op in ops))
+    return lead, gi, plan, ops
+
+
+def _derivative_values(op, blk, cols):
+    """values of metric derivatives, which must be finite: a skipped
     product 0 * inf would have been nan.  Every non-finite entry is
     non-zero, so it is among cols."""
-    out = _values(d, cols)
+    out = op.values(blk, cols)
     if not np.all(np.isfinite(out)):
         raise SingularMetric("metric derivatives are not finite: d g or d^2 g holds an inf or nan")
     return out
@@ -248,24 +344,24 @@ def _sum(tables, *values):
     return out
 
 
-def _christoffel_values(plan, gi, d1):
-    """Value arrays of g^{-1}, S and Gamma of a block, given those of d g."""
-    g = _values(gi, plan.g_cols)
+def _christoffel_values(plan, g, d1):
+    """Value arrays of S and Gamma of a block, given those of g^{-1} and d g."""
     s = _combined(d1, plan.s_rows)
     gamma = _sum(plan.gamma, g, s)
     gamma *= 0.5
-    return g, s, gamma
+    return s, gamma
 
 
 def christoffel_arrays(comp, d1):
-    """Batched Gamma^a_{bc} = 1/2 g^{ad} (d_b g_{dc} + d_c g_{db} - d_d g_{bc})."""
-    lead, dim = comp.shape[:-2], comp.shape[-1]
-    comp, d1 = comp.reshape((-1, dim, dim)), d1.reshape((-1, 2, dim, dim))
-    gi = _inverse(comp)
-    plan = _plan(gi, d1)
+    """Batched Gamma^a_{bc} = 1/2 g^{ad} (d_b g_{dc} + d_c g_{db} - d_d g_{bc})
+    of a metric given as arrays or as BlockDiagonal parts."""
+    lead, _, plan, (g, d1) = _prepared(comp, d1)
+    every = slice(None)
     with np.errstate(over="ignore", invalid="ignore"):  # as in ricci_arrays
-        gamma = _christoffel_values(plan, gi, _derivative_values(d1, plan.d1_cols))[2]
-    out = np.zeros((comp.shape[0], dim ** 3))
+        gamma = _christoffel_values(plan, g.values(every, plan.g_cols),
+                                    _derivative_values(d1, every, plan.d1_cols))[1]
+    dim = comp.shape[-1]
+    out = np.zeros((gamma.shape[1], dim ** 3))
     out[:, plan.gamma_cols] = gamma[:-1].T
     return out.reshape(lead + (dim, dim, dim))
 
@@ -280,13 +376,12 @@ def _dgamma_values(plan, g, s, d1, d2):
     return dgamma
 
 
-def _ricci_block(comp, d1, d2):
-    """ricci_arrays on one (points, dim, dim) block."""
-    P, dim = comp.shape[0], comp.shape[-1]
-    gi = _inverse(comp)
-    plan = _plan(gi, d1, d2)
-    d1, d2 = _derivative_values(d1, plan.d1_cols), _derivative_values(d2, plan.d2_cols)
-    g, s, gamma = _christoffel_values(plan, gi, d1)
+def _ricci_block(plan, gi, ops, blk):
+    """ricci_arrays on the points blk of the flattened batch."""
+    g_op, d1_op, d2_op = ops
+    d1, d2 = _derivative_values(d1_op, blk, plan.d1_cols), _derivative_values(d2_op, blk, plan.d2_cols)
+    g = g_op.values(blk, plan.g_cols)
+    s, gamma = _christoffel_values(plan, g, d1)
     dgamma = _dgamma_values(plan, g, s, d1, d2)
     div_a, div_d, e1, e2 = plan.ricci
     ricci = _sum(div_a, dgamma)
@@ -295,10 +390,12 @@ def _ricci_block(comp, d1, d2):
     ricci -= _sum(e2, gamma, gamma)
     # stored [d, b], as einsum left it: the scalar's einsum sums in an
     # order that depends on that layout
+    P, dim = g.shape[1], gi.shape[-1]
     stored = np.zeros((P, dim * dim))
     stored[:, plan.ricci_cols] = ricci[:-1].T
     ricci = stored.reshape(P, dim, dim).transpose(0, 2, 1)
-    scalar = np.einsum("...bd,...bd->...", gi, ricci)
+    gi_dense = BlockDiagonal([p[blk] for p in gi.parts], gi.layout).dense()
+    scalar = np.einsum("...bd,...bd->...", gi_dense, ricci)
     denom = 1.0 + np.abs(d2).max(axis=0) + np.abs(gamma).max(axis=0) ** 2
     return ricci, scalar, denom
 
@@ -306,23 +403,22 @@ def _ricci_block(comp, d1, d2):
 def ricci_arrays(comp, d1, d2):
     """Batched Ricci computation over any leading batch shape.
 
-    comp is (..., dim, dim), d1 (..., 2, dim, dim) and d2 (..., 2, 2, dim, dim).
-    Returns (ricci, scalar, denom) where denom is the conditioning scale
-    1 + max|d2 g| + max|Gamma|^2 used for normalized residuals; Gamma
-    itself comes from christoffel_arrays.
+    comp is (..., dim, dim), d1 (..., 2, dim, dim) and d2 (..., 2, 2, dim, dim),
+    as arrays or as BlockDiagonal parts with one layout.  Returns (ricci,
+    scalar, denom) where denom is the conditioning scale 1 + max|d2 g| +
+    max|Gamma|^2 used for normalized residuals; Gamma itself comes from
+    christoffel_arrays.
     """
-    lead, dim = comp.shape[:-2], comp.shape[-1]
-    comp = comp.reshape((-1, dim, dim))
-    d1 = d1.reshape((-1, 2, dim, dim))
-    d2 = d2.reshape((-1, 2, 2, dim, dim))
-    P, step = comp.shape[0], block_points(dim)
+    lead, gi, plan, ops = _prepared(comp, d1, d2)
+    dim = comp.shape[-1]
+    P, step = math.prod(lead), block_points(dim)
     ricci, scalar, denom = np.empty((P, dim, dim)), np.empty(P), np.empty(P)
     # like the einsum calls they replace, the sums raise no floating-point
     # warnings: an overflow shows as an inf or nan in the result
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, P, step):
             blk = slice(start, start + step)
-            ricci[blk], scalar[blk], denom[blk] = _ricci_block(comp[blk], d1[blk], d2[blk])
+            ricci[blk], scalar[blk], denom[blk] = _ricci_block(plan, gi, ops, blk)
     return tuple(a.reshape(lead + a.shape[1:]) for a in (ricci, scalar, denom))
 
 

@@ -272,7 +272,12 @@ def load_solution(path) -> GridSolution:
         if line.startswith("#"):
             converged = "converged=false" not in line
             continue
-        numbers.extend(float(v) for v in line.split())
+        for tok in line.split():
+            try:
+                numbers.append(float(tok))
+            except ValueError:
+                k = len(numbers)
+                raise ValueError(f"{path}: node ({k // ny}, {k % ny}) holds {tok!r}, not a number") from None
     if len(numbers) != nx * ny:
         raise ValueError(f"expected {nx * ny} values, found {len(numbers)}")
     values = np.array(numbers).reshape(nx, ny)

@@ -117,7 +117,7 @@ def test_criterion_4_oracle_agreement():
         cfg = assembly.AssemblyConfig(1, (1,), 0.0, 0.0, 0.0)
 
         def field(px, py):
-            return assembly.assemble_arrays(frame_at(spec, (px, py)), cfg)[0]
+            return assembly.assemble_arrays(frame_at(spec, (px, py)), cfg)[0].dense()
 
         for p in interior_points(spec, 3, seed=SEED, shrink=0.25):
             jet_ric = curvature.ricci_arrays(*assembly.assemble_arrays(frame_at(spec, p), cfg))[0][0]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from conftest import interior_batch
 from minsurf import curvature, surfaces
 from minsurf.assembly import (AssemblyConfig, assemble_arrays, conformal_factor_jet,
                               log_domain_ok, signature_values)
-from minsurf.geometry2d import frame_at
+from minsurf.cli import draw_points
+from minsurf.geometry2d import SurfaceFrame, frame_at
 from minsurf.jets import DomainError, Jet3
 from minsurf.surfaces import SurfaceSpec, bi_wave, plane, scherk
 
@@ -83,11 +85,11 @@ def test_assemble_plane_has_constant_metric():
     # assembled metric is constant (e0 != 0 makes e^{2 e0 phi} vary)
     fr = frame_at(plane(), (0.3, -0.2))
     comp, d1, d2 = assemble_arrays(fr, AssemblyConfig(2, (1, -1), 0.0, 1.0, 0.5))
-    assert np.abs(d1).max() == 0.0
-    assert np.abs(d2).max() == 0.0
+    assert np.abs(d1.dense()).max() == 0.0
+    assert np.abs(d2.dense()).max() == 0.0
     assert comp.shape == (1, 6, 6)
     varying = assemble_arrays(fr, AssemblyConfig(2, (1, -1), 0.3, 1.0, 0.5))
-    assert np.abs(varying[1]).max() > 0.0
+    assert np.abs(varying[1].dense()).max() > 0.0
 
 
 def test_assemble_scherk_instanton_blocks():
@@ -97,7 +99,22 @@ def test_assemble_scherk_instanton_blocks():
     expected = np.zeros((4, 4))
     expected[:2, :2] = g
     expected[2:, 2:] = g
-    np.testing.assert_allclose(comp[0], expected, rtol=1e-14, atol=1e-16)
+    np.testing.assert_allclose(comp.dense()[0], expected, rtol=1e-14, atol=1e-16)
+
+
+def test_assemble_arrays_memory_stays_below_one_dense_d2():
+    # the block form fills no dim x dim array: assembling 4096 dim-8 points
+    # peaks below the bytes of one dense (P, 2, 2, dim, dim) d^2 g, 8 MiB
+    cfg = AssemblyConfig(3, (1, -1, 1), 0.3, 1.0, 0.5)
+    spec = scherk()
+    fr = SurfaceFrame(spec.ambient, draw_points(spec, cfg, 4096, seed=7)[4])
+    tracemalloc.start()
+    try:
+        assemble_arrays(fr, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096 * 2 * 2 * cfg.dim ** 2 * 8
 
 
 def test_assemble_arrays_takes_any_batch_shape():
@@ -107,7 +124,7 @@ def test_assemble_arrays_takes_any_batch_shape():
     flat = assemble_arrays(frame_at(spec, (x, y)), cfg)
     grid = assemble_arrays(frame_at(spec, (x.reshape(2, 5), y.reshape(2, 5))), cfg)
     for got, want in zip(grid, flat):
-        want = want.reshape((2, 5) + want.shape[1:])
+        got, want = got.dense(), want.dense().reshape((2, 5) + want.shape[1:])
         assert got.shape == want.shape
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -119,10 +136,10 @@ def test_assemble_derivatives_match_finite_differences():
     spec = scherk()
     cfg = AssemblyConfig(2, (1, -1), 0.3, 1.0, 0.25)
     p = (0.3, 0.2)
-    _, m_d1, m_d2 = (a[0] for a in assemble_arrays(frame_at(spec, p), cfg))
+    _, m_d1, m_d2 = (a.dense()[0] for a in assemble_arrays(frame_at(spec, p), cfg))
 
     def comp(x, y):
-        return assemble_arrays(frame_at(spec, (x, y)), cfg)[0][0]
+        return assemble_arrays(frame_at(spec, (x, y)), cfg)[0].dense()[0]
 
     for axis in (0, 1):
         errs = {}
@@ -159,7 +176,7 @@ def test_determinant_invariant():
     ]
     for spec, cfg, p in cases:
         fr = frame_at(spec, p)
-        comp = assemble_arrays(fr, cfg)[0][0]
+        comp = assemble_arrays(fr, cfg)[0].dense()[0]
         e2 = conformal_factor_jet(fr, cfg).value[0]
         predicted = e2 ** 2 * abs(spec.ambient.det) ** (1 + cfg.n)
         assert abs(np.linalg.det(comp)) == pytest.approx(predicted, rel=1e-10)

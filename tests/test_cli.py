@@ -335,6 +335,8 @@ def _grid_file(nx, ny, domain, ambient="1 1 0 1", center="0"):
     pytest.param(_grid_file(9, 9, "1 0 0 1"), "finite x0 < x1 and y0 < y1", id="reversed-domain"),
     *(pytest.param(_grid_file(9, 9, "0 1 0 1", center=v), f"node (4, 4) holds the non-finite value {v}",
                    id=f"{v}-node") for v in ("nan", "inf")),
+    pytest.param(_grid_file(9, 9, "0 1 0 1", center="abc"), "bad.minsurf: node (4, 4) holds 'abc', not a number",
+                 id="abc-node"),
     *(pytest.param(_grid_file(9, 9, "0 1 0 1", ambient=f"{a} 1"), "needs finite k1, k2, k0 and a finite non-zero",
                    id=f"ambient-{a.replace(' ', ',')}") for a in ("inf 1 0", "1e308 1e308 0")),
     # a header field that does not parse is named, with the file
@@ -668,7 +670,14 @@ def test_curvature_invalid_specs(capsys):
                       ("n=1,e0=0,n=2", "assembled metric option 'n' is given more than once"),
                       ("foo=1", "unrecognized arguments: --foo=1"),
                       ("m=1", "unrecognized arguments: --m=1"),  # no abbreviation of m1
-                      ("n", "argument --n: expected one argument")):
+                      ("n", "argument --n: expected one argument"),
+                      # n is checked before the sign string that defaults to n signs
+                      ("n=-1", "n must be a positive integer, got -1"),
+                      ("n=0", "n must be a positive integer, got 0"),
+                      ("n=0,eps=+", "n must be a positive integer, got 0"),
+                      # an empty option, as a trailing or doubled comma leaves
+                      *((opt, f"empty option in assembled metric spec 'assembled:scherk,{opt}'")
+                        for opt in ("n=2,", ",n=2", ""))):
         code, out, err = run(capsys, "curvature", "--metric", f"assembled:scherk,{opt}", "--point", "0.3,0.2")
         assert (code, out, err) == (2, "", f"error: {what}\n")
 

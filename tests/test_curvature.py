@@ -11,13 +11,13 @@ from minsurf.geometry2d import frame_at
 
 
 def assembled(spec, cfg, p):
-    """(comp, d1, d2) of the assembled metric at the one point p."""
-    return tuple(a[0] for a in assembly.assemble_arrays(frame_at(spec, p), cfg))
+    """Dense (comp, d1, d2) of the assembled metric at the one point p."""
+    return tuple(a.dense()[0] for a in assembly.assemble_arrays(frame_at(spec, p), cfg))
 
 
 def assembled_field(spec, cfg):
     def field(x, y):
-        return assembly.assemble_arrays(frame_at(spec, (x, y)), cfg)[0]
+        return assembly.assemble_arrays(frame_at(spec, (x, y)), cfg)[0].dense()
     return field
 
 
@@ -195,13 +195,35 @@ def padded_ricci(comp, d1, d2):
     return gamma, ric, scalar, denom
 
 
+def dense_assemble_arrays(fr, cfg):
+    """Reference assembly: the dense (..., dim, dim) comp, d1 and d2, each
+    y-block filled as eps_i * g.  assemble_arrays(...).dense() must
+    reproduce it bit for bit."""
+    e2 = assembly.conformal_factor_jet(fr, cfg)
+    xblock = [[e2 * fr.g[a][b] for b in range(2)] for a in range(2)]
+    out = []
+    for xa, ga in zip(geometry2d.matrix_jets_to_arrays(xblock), fr.g_arrays):
+        a = np.zeros(xa.shape[:-2] + (cfg.dim, cfg.dim))
+        a[..., :2, :2] = xa
+        for i, e in enumerate(cfg.eps_blocks):
+            a[..., 2 + 2 * i:4 + 2 * i, 2 + 2 * i:4 + 2 * i] = e * ga
+        out.append(a)
+    return tuple(out)
+
+
+def each_part(fn, a):
+    """A BlockDiagonal of fn applied to each part of a (a dense array is one part)."""
+    a = curvature.as_blocks(a)
+    return curvature.BlockDiagonal([fn(p) for p in a.parts], a.layout)
+
+
 def assert_bits_equal(got, want):
+    """Equal as int64 views: every bit, signed zeros and nan payloads included."""
     assert len(got) == len(want)
     for a, b in zip(got, want):
         a, b = np.asarray(a), np.asarray(b)
-        assert a.shape == b.shape
-        assert np.array_equal(a, b)
-        assert np.array_equal(np.signbit(a), np.signbit(b))
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def sampled_frame(name, cfg, samples, seed=7):
@@ -219,17 +241,18 @@ MIXED_CONFIGS = [
 ]
 
 
-#: n = 1..4 on five surfaces, mixed block signs, e0, m1 and n1 all non-zero
-WIDE_CONFIGS = [
-    (name, assembly.AssemblyConfig(n, signs, e0, 1.0, n1))
-    for name in ("scherk", "catenoid", "bi_wave", "helicoid", "nonminimal_x2")
-    for n, signs, e0, n1 in [(1, (-1,), 0.3, 0.5), (2, (1, -1), 0.2, 0.25),
-                             (3, (-1, 1, -1), 0.1, 1.0), (4, (1, -1, -1, 1), 0.3, 0.5)]
-]
+#: n = 1..4, mixed block signs, e0, m1 and n1 all non-zero
+WIDE_CONSTANTS = [assembly.AssemblyConfig(n, signs, e0, 1.0, n1)
+                  for n, signs, e0, n1 in [(1, (-1,), 0.3, 0.5), (2, (1, -1), 0.2, 0.25),
+                                           (3, (-1, 1, -1), 0.1, 1.0), (4, (1, -1, -1, 1), 0.3, 0.5)]]
+
+#: the wide constants on five surfaces
+WIDE_CONFIGS = [(name, cfg) for name in ("scherk", "catenoid", "bi_wave", "helicoid", "nonminimal_x2")
+                for cfg in WIDE_CONSTANTS]
 
 
 def assert_engine_matches_padded(comp, d1, d2):
-    want = padded_ricci(comp, d1, d2)
+    want = padded_ricci(*(curvature.as_blocks(a).dense() for a in (comp, d1, d2)))
     assert_bits_equal(curvature.ricci_arrays(comp, d1, d2), want[1:])
     assert_bits_equal([curvature.christoffel_arrays(comp, d1)], want[:1])
 
@@ -239,9 +262,29 @@ def test_ricci_arrays_bits_match_padded_reference(name, cfg):
     fr = sampled_frame(name, cfg, 40)
     comp, d1, d2 = assembly.assemble_arrays(fr, cfg)
     # the whole batch, one point, and the identity suite's dim-2 conformal call
-    for comp, d1, d2 in [(comp, d1, d2), (comp[3], d1[3], d2[3]),
+    for comp, d1, d2 in [(comp, d1, d2), [each_part(lambda p: p[3], a) for a in (comp, d1, d2)],
                          geometry2d.matrix_jets_to_arrays(fr.g)]:
         assert_engine_matches_padded(comp, d1, d2)
+
+
+#: the wide constants on every catalog surface
+CATALOG_CONFIGS = [(spec.name, cfg) for spec in surfaces.catalog() for cfg in WIDE_CONSTANTS]
+
+
+@pytest.mark.parametrize("name,cfg", CATALOG_CONFIGS)
+def test_block_form_matches_dense_form_bit_for_bit(name, cfg):
+    """The engine on the assembled blocks, two 2x2 inverses and eigenvalue
+    sets, gives the bits it gives on the dense reference assembly: Ricci,
+    scalar, denom, Gamma and the signature, signed zeros included."""
+    fr = sampled_frame(name, cfg, 40)
+    blocks = assembly.assemble_arrays(fr, cfg)
+    dense = dense_assemble_arrays(fr, cfg)
+    assert_bits_equal([a.dense() for a in blocks], dense)
+    got = (*curvature.ricci_arrays(*blocks), curvature.christoffel_arrays(*blocks[:2]),
+           assembly.signature_values(blocks[0]))
+    want = (*curvature.ricci_arrays(*dense), curvature.christoffel_arrays(*dense[:2]),
+            assembly.signature_values(dense[0]))
+    assert_bits_equal(got, want)
 
 
 BUILTINS = [
@@ -291,7 +334,7 @@ def test_bit_check_fails_when_one_summation_order_changes(monkeypatch, fresh_pla
 
     cfg = assembly.AssemblyConfig(3, (1, -1, 1), 0.3, 1.0, 0.5)
     comp, d1, d2 = assembly.assemble_arrays(sampled_frame("scherk", cfg, 40), cfg)
-    want = padded_ricci(comp, d1, d2)
+    want = padded_ricci(comp.dense(), d1.dense(), d2.dense())
     assert_engine_matches_padded(comp, d1, d2)
     monkeypatch.setattr(curvature, "_contractions", swapped)
     curvature._cached_plan.cache_clear()
@@ -306,12 +349,13 @@ def test_blocked_ricci_equals_one_block(monkeypatch):
     # metric, tiled past their block sizes (the points need not differ)
     for arrays in (assembly.assemble_arrays(fr, cfg), geometry2d.matrix_jets_to_arrays(fr.g)):
         block = curvature.block_points(arrays[0].shape[-1])
-        comp, d1, d2 = (np.resize(a, (2 * block + 5,) + a.shape[1:]) for a in arrays)
+        tiled = [each_part(lambda p: np.resize(p, (2 * block + 5,) + p.shape[1:]), a) for a in arrays]
         for P in (1, block, block + 1, 2 * block + 5):
-            blocked = curvature.ricci_arrays(comp[:P], d1[:P], d2[:P])
+            comp, d1, d2 = (each_part(lambda p: p[:P], a) for a in tiled)
+            blocked = curvature.ricci_arrays(comp, d1, d2)
             with monkeypatch.context() as m:
                 m.setattr(curvature, "block_points", lambda dim: P)
-                assert_bits_equal(blocked, curvature.ricci_arrays(comp[:P], d1[:P], d2[:P]))
+                assert_bits_equal(blocked, curvature.ricci_arrays(comp, d1, d2))
 
 
 def test_ricci_arrays_memory_grows_with_its_output_only():
@@ -321,7 +365,7 @@ def test_ricci_arrays_memory_grows_with_its_output_only():
     arrays = assembly.assemble_arrays(sampled_frame("scherk", cfg, 40), cfg)
     peaks = []
     for P in (512, 4096):
-        comp, d1, d2 = (np.resize(a, (P,) + a.shape[1:]) for a in arrays)
+        comp, d1, d2 = (each_part(lambda p: np.resize(p, (P,) + p.shape[1:]), a) for a in arrays)
         tracemalloc.start()
         try:
             curvature.ricci_arrays(comp, d1, d2)
@@ -343,7 +387,7 @@ def test_block_points_bound_the_per_block_temporaries():
         cfg = assembly.AssemblyConfig(n, (1, -1) * (n // 2) + (1,) * (n % 2), 0.3, 1.0, 0.5)
         arrays = assembly.assemble_arrays(sampled_frame("scherk", cfg, 40), cfg)
         P = curvature.block_points(cfg.dim)
-        comp, d1, d2 = (np.resize(a, (P,) + a.shape[1:]) for a in arrays)
+        comp, d1, d2 = (each_part(lambda p: np.resize(p, (P,) + p.shape[1:]), a) for a in arrays)
         curvature.ricci_arrays(comp, d1, d2)  # the plan is cached, not a temporary
         tracemalloc.start()
         try:
@@ -363,7 +407,7 @@ def test_batched_ricci_fd_equals_pointwise_loop():
 
     def field(px, py):
         fr = geometry2d.SurfaceFrame(spec.ambient, spec.phi_jet(px, py))
-        return assembly.assemble_arrays(fr, cfg)[0]
+        return assembly.assemble_arrays(fr, cfg)[0].dense()
 
     def counted(px, py):
         calls.append((px, py))
