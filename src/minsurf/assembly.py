@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .curvature import BlockDiagonal, metric_eigenvalues
+from .curvature import BlockDiagonal, as_blocks
 from .geometry2d import SurfaceFrame, matrix_jets_to_arrays
 
 
@@ -96,6 +96,6 @@ def assemble_arrays(fr: SurfaceFrame, cfg: AssemblyConfig):
 def signature_values(comp) -> np.ndarray:
     """Batched metric signature: (# positive - # negative eigenvalues).  A
     BlockDiagonal comp that the Ricci engine has read keeps its eigenvalues."""
-    ev = metric_eigenvalues(comp)
+    ev = as_blocks(comp).eigenvalues
     return (ev > 0).sum(axis=-1) - (ev < 0).sum(axis=-1)
 

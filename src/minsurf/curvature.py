@@ -13,9 +13,10 @@ form; a dense array is one block.  The engine inverts each part with one
 batched ``np.linalg.inv`` (inv(eps g) = eps inv(g), and a 2 x 2 inverse is
 bit for bit the dense inverse's block), and the singularity rule and the
 signature read one set of ``eigvalsh`` eigenvalues per part, which a
-BlockDiagonal keeps once computed.  ``BlockDiagonal.dense()`` builds the
-dim x dim arrays for callers that print or differentiate them: the
-``curvature`` command and the finite-difference oracle's field.
+BlockDiagonal keeps once computed; the rule holds each part to its own
+eigenvalue ratio.  ``BlockDiagonal.dense()`` builds the dim x dim arrays
+for callers that print or differentiate them: the ``curvature`` command
+and the finite-difference oracle's field.
 
 ``central_differences`` is the one 9-point stencil of the oracle and the
 solver; ``BlockDiagonal.eigenvalues`` is the one singularity rule.
@@ -37,26 +38,25 @@ over term tables instead of dense arrays.  The pattern rule: an entry of
 g^{-1}, d g or d^2 g that is off the diagonal blocks, or zero at every
 point of the batch, counts as zero, and an intermediate (S, Gamma,
 d g^{-1}, d S, d Gamma, each term of R) is structurally zero where each
-of its products has a structurally zero factor.  The tables are built with array operations from the three
-patterns and cached per pattern; a tensor's values are a (rows + 1,
-points) array over its structural non-zeros plus a +0 row, read straight
-from the parts, each entry times its block's sign.
+of its products has a structurally zero factor.  The tables are built
+with array operations from the three patterns and cached per pattern; a
+tensor's values are a (rows + 1, points) array over its structural
+non-zeros plus a +0 row, read straight from the parts, each entry times
+its block's sign.
 
 The summation-order contract: each contraction keeps the subscripts of
 the dense einsum engine it replaces, and its kept products, factors
 multiplied left to right, are added to a +0 accumulator in the order that
 einsum adds them (Gamma sums over d; d g^{-1} = (g^{-1} d g) g^{-1} sums b
 outer, c inner; Gamma^i_{ie} Gamma^e_{db} sums i outer, e inner;
-Gamma^i_{de} Gamma^e_{ib} sums e outer, i inner).  A skipped product is
-+-0 and x + (+-0) = x, so every bit of Gamma, R, the scalar and denom,
-signed zeros included, is the dense engine's.  The scalar's einsum order
-depends on memory layout, so it stays an einsum over a dense R stored as
-the dense engine left it, [d, b] per point, and a dense g^{-1} per block
-of points.  That g^{-1} holds +0 off the blocks where the dense inverse
-may hold -0; there R is +0 too, and a +-0 product added to a sum that
-starts at +0 changes no bit.  tests/test_curvature.py holds the dense
-engine as padded_ricci, checks the bits against it, and shows that a
-changed order fails that check.
+Gamma^i_{de} Gamma^e_{ib} sums e outer, i inner).  The scalar
+g^{bd} R_{bd} is nested: each row b sums g^{bd} R_{bd} over d from +0,
+then the rows are added to +0 in increasing b.  A skipped product is +-0,
+and a sum that starts at +0 is never -0, so x + (+-0) = x and every bit
+of Gamma, R, the scalar and denom, signed zeros included, is the dense
+engine's.  tests/test_curvature.py holds the dense engine as padded_ricci,
+checks the bits against it, and shows that a changed order, of R or of
+the scalar, fails that check.
 
 The finite-input requirement: a skipped product is only zero when its
 other factors are finite (0 * inf is nan), so d g and d^2 g must be
@@ -77,10 +77,12 @@ class SingularMetric(ValueError):
     """Metric is not invertible (or numerically indistinguishable from it)."""
 
 
-#: smallest |eigenvalue| / largest of a regular metric.  Past a condition
-#: number of 1e10, g^{-1} may carry a relative error of 1e10 * 2.2e-16 =
-#: 2.2e-6, more than the 1e-7 Ricci tolerance can resolve; the acceptance
-#: sweep's worst ratio, 2.8e-8, keeps a factor of 280 above it
+#: smallest |eigenvalue| / largest of each regular diagonal block.  Past a
+#: condition number of 1e10, a block's inverse may carry a relative error of
+#: 1e10 * 2.2e-16 = 2.2e-6, more than the 1e-7 Ricci tolerance can resolve.
+#: Each block is inverted on its own, so the spread of e^{2 Phi} against g
+#: across blocks does not enter; the acceptance sweep's worst block ratio,
+#: 1.5e-4 (bi_wave), keeps a factor of 1.5e6 above it
 SINGULAR_RCOND = 1e-10
 
 #: points per block of the batched Ricci computation at dim 8.  A block's
@@ -115,9 +117,7 @@ class BlockDiagonal:
         self.shape = self.parts[0].shape[:-2] + (dim, dim)
 
     def dense(self):
-        """The (..., dim, dim) array, zero off the blocks; a dense array's own."""
-        if self.layout == ((0, 1),):
-            return self.parts[0]
+        """The (..., dim, dim) array, zero off the blocks."""
         out = np.zeros(self.shape)
         start = 0
         for i, sign in self.layout:
@@ -131,28 +131,24 @@ class BlockDiagonal:
         """Eigenvalues (..., dim) of the metrics, block by block: one
         ``eigvalsh`` per part, computed once per object.
 
-        Raises SingularMetric when any metric is singular: an entry or an
-        eigenvalue is not finite, or min|lambda| <= SINGULAR_RCOND max|lambda|.
-        The rule is scale-free, so c g is singular exactly when g is.
+        Raises SingularMetric when any metric is singular, part by part: an
+        entry or an eigenvalue of a part is not finite, or the part's
+        min|lambda| <= SINGULAR_RCOND max|lambda|.  The rule is scale-free,
+        so c g is singular exactly when g is, and a dense array is one part.
         """
         ev = [np.linalg.eigvalsh(p) for p in self.parts]
-        ev = np.concatenate([sign * ev[i] for i, sign in self.layout], axis=-1)
-        size = np.abs(ev)
-        if (not (all(np.all(np.isfinite(p)) for p in self.parts) and np.all(np.isfinite(ev)))
-                or np.any(size.min(axis=-1) <= SINGULAR_RCOND * size.max(axis=-1))):
-            raise SingularMetric("metric is singular: smallest |eigenvalue| vanishes next to the largest")
-        return ev
+        for p, e in zip(self.parts, ev):
+            size = np.abs(e)
+            if (not (np.all(np.isfinite(p)) and np.all(np.isfinite(e)))
+                    or np.any(size.min(axis=-1) <= SINGULAR_RCOND * size.max(axis=-1))):
+                raise SingularMetric("metric is singular: a block's smallest |eigenvalue| vanishes "
+                                     "next to its largest")
+        return np.concatenate([sign * ev[i] for i, sign in self.layout], axis=-1)
 
 
 def as_blocks(a):
     """a as a BlockDiagonal: a dense array is one block."""
     return a if isinstance(a, BlockDiagonal) else BlockDiagonal((np.asarray(a),), ((0, 1),))
-
-
-def metric_eigenvalues(comp):
-    """Eigenvalues of the symmetric metrics comp, ascending for a dense
-    (..., dim, dim) array; see ``BlockDiagonal.eigenvalues``."""
-    return as_blocks(comp).eigenvalues
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +241,9 @@ class _Plan:
         ricci, self.ricci = _contractions(("iidb->bd", "i", dgamma), ("diib->bd", "i", dgamma),
                                           ("iie,edb->bd", "ie", gamma, gamma),
                                           ("ide,eib->bd", "ei", gamma, gamma))
-        b, col = np.nonzero(ricci >= 0)
-        self.ricci_cols = col * dim + b  # the dense Ricci is stored [d, b]
+        self.ricci_cols = np.flatnonzero(ricci >= 0)
+        # the scalar's row sums g^{bd} R_{bd} over d, one per live b
+        _, [self.scalar] = _contractions(("bd,bd->b", "d", g, ricci))
 
 
 @functools.lru_cache(maxsize=64)
@@ -299,28 +296,22 @@ class _Operand:
 
 
 def _prepared(comp, *derivatives):
-    """Batch shape, g^{-1}, plan and operands (g^{-1}, d g[, d^2 g]) of an
-    engine call over the flattened batch.  comp must pass the singularity
-    rule; a BlockDiagonal keeps its eigenvalues for signature_values."""
+    """Batch shape, plan and operands (g^{-1}, d g[, d^2 g]) of an engine
+    call over the flattened batch.  comp must pass the singularity rule; a
+    BlockDiagonal keeps its eigenvalues for signature_values.  The
+    derivatives must be finite: a skipped product 0 * inf would have been nan."""
     comp = as_blocks(comp)
-    metric_eigenvalues(comp)
+    comp.eigenvalues  # raises SingularMetric
+    derivatives = [as_blocks(d) for d in derivatives]
+    if not all(np.all(np.isfinite(p)) for d in derivatives for p in d.parts):
+        raise SingularMetric("metric derivatives are not finite: d g or d^2 g holds an inf or nan")
     lead = comp.shape[:-2]
     # inv(sign * part) = sign * inv(part), so g^{-1} keeps comp's layout
     gi = BlockDiagonal([np.linalg.inv(p).reshape((math.prod(lead),) + p.shape[-2:]) for p in comp.parts],
                        comp.layout)
-    ops = [_Operand(gi, 1)] + [_Operand(as_blocks(d), len(lead)) for d in derivatives]
+    ops = [_Operand(gi, 1)] + [_Operand(d, len(lead)) for d in derivatives]
     plan = _cached_plan(comp.shape[-1], *(op.pattern.tobytes() for op in ops))
-    return lead, gi, plan, ops
-
-
-def _derivative_values(op, blk, cols):
-    """values of metric derivatives, which must be finite: a skipped
-    product 0 * inf would have been nan.  Every non-finite entry is
-    non-zero, so it is among cols."""
-    out = op.values(blk, cols)
-    if not np.all(np.isfinite(out)):
-        raise SingularMetric("metric derivatives are not finite: d g or d^2 g holds an inf or nan")
-    return out
+    return lead, plan, ops
 
 
 def _combined(values, rows):
@@ -355,11 +346,10 @@ def _christoffel_values(plan, g, d1):
 def christoffel_arrays(comp, d1):
     """Batched Gamma^a_{bc} = 1/2 g^{ad} (d_b g_{dc} + d_c g_{db} - d_d g_{bc})
     of a metric given as arrays or as BlockDiagonal parts."""
-    lead, _, plan, (g, d1) = _prepared(comp, d1)
+    lead, plan, (g, d1) = _prepared(comp, d1)
     every = slice(None)
     with np.errstate(over="ignore", invalid="ignore"):  # as in ricci_arrays
-        gamma = _christoffel_values(plan, g.values(every, plan.g_cols),
-                                    _derivative_values(d1, every, plan.d1_cols))[1]
+        gamma = _christoffel_values(plan, g.values(every, plan.g_cols), d1.values(every, plan.d1_cols))[1]
     dim = comp.shape[-1]
     out = np.zeros((gamma.shape[1], dim ** 3))
     out[:, plan.gamma_cols] = gamma[:-1].T
@@ -376,11 +366,9 @@ def _dgamma_values(plan, g, s, d1, d2):
     return dgamma
 
 
-def _ricci_block(plan, gi, ops, blk):
+def _ricci_block(plan, ops, blk):
     """ricci_arrays on the points blk of the flattened batch."""
-    g_op, d1_op, d2_op = ops
-    d1, d2 = _derivative_values(d1_op, blk, plan.d1_cols), _derivative_values(d2_op, blk, plan.d2_cols)
-    g = g_op.values(blk, plan.g_cols)
+    g, d1, d2 = (op.values(blk, cols) for op, cols in zip(ops, (plan.g_cols, plan.d1_cols, plan.d2_cols)))
     s, gamma = _christoffel_values(plan, g, d1)
     dgamma = _dgamma_values(plan, g, s, d1, d2)
     div_a, div_d, e1, e2 = plan.ricci
@@ -388,16 +376,9 @@ def _ricci_block(plan, gi, ops, blk):
     ricci -= _sum(div_d, dgamma)
     ricci += _sum(e1, gamma, gamma)
     ricci -= _sum(e2, gamma, gamma)
-    # stored [d, b], as einsum left it: the scalar's einsum sums in an
-    # order that depends on that layout
-    P, dim = g.shape[1], gi.shape[-1]
-    stored = np.zeros((P, dim * dim))
-    stored[:, plan.ricci_cols] = ricci[:-1].T
-    ricci = stored.reshape(P, dim, dim).transpose(0, 2, 1)
-    gi_dense = BlockDiagonal([p[blk] for p in gi.parts], gi.layout).dense()
-    scalar = np.einsum("...bd,...bd->...", gi_dense, ricci)
+    scalar = sum(_sum(plan.scalar, g, ricci)[:-1], np.zeros(g.shape[1]))  # the rows in increasing b
     denom = 1.0 + np.abs(d2).max(axis=0) + np.abs(gamma).max(axis=0) ** 2
-    return ricci, scalar, denom
+    return ricci[:-1].T, scalar, denom
 
 
 def ricci_arrays(comp, d1, d2):
@@ -409,17 +390,17 @@ def ricci_arrays(comp, d1, d2):
     max|Gamma|^2 used for normalized residuals; Gamma itself comes from
     christoffel_arrays.
     """
-    lead, gi, plan, ops = _prepared(comp, d1, d2)
+    lead, plan, ops = _prepared(comp, d1, d2)
     dim = comp.shape[-1]
     P, step = math.prod(lead), block_points(dim)
-    ricci, scalar, denom = np.empty((P, dim, dim)), np.empty(P), np.empty(P)
+    ricci, scalar, denom = np.zeros((P, dim * dim)), np.empty(P), np.empty(P)
     # like the einsum calls they replace, the sums raise no floating-point
     # warnings: an overflow shows as an inf or nan in the result
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, P, step):
             blk = slice(start, start + step)
-            ricci[blk], scalar[blk], denom[blk] = _ricci_block(plan, gi, ops, blk)
-    return tuple(a.reshape(lead + a.shape[1:]) for a in (ricci, scalar, denom))
+            ricci[blk, plan.ricci_cols], scalar[blk], denom[blk] = _ricci_block(plan, ops, blk)
+    return ricci.reshape(lead + (dim, dim)), scalar.reshape(lead), denom.reshape(lead)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,16 @@ def test_verify_scherk_instanton(capsys):
     assert rep["points_evaluated"] == 100
 
 
+def test_verify_wide_conformal_factor_passes(capsys):
+    """e^{2 Phi} spans 1.6e-17 to 9.4e14 over these points, so 32 of the 200
+    whole 6x6 metrics have an eigenvalue ratio below SINGULAR_RCOND, while
+    every 2x2 block keeps a ratio above 8e-3: the rule is per block."""
+    code, rep, err = verify_report(capsys, "--surface", "scherk", "--n", "2", "--e0", "1.959",
+                                   "--m1=-2.648", "--n1=-0.567", "--samples", "200")
+    assert code == 0 and err == ""
+    assert rep["pass"] is True
+
+
 def test_verify_nonminimal_fails(capsys):
     code, rep, _ = verify_report(capsys, "--surface", "nonminimal_x2", "--n", "1",
                                  "--eps-blocks", "1")
@@ -361,6 +371,24 @@ def test_malformed_solution_file_exit2_one_line(capsys, tmp_path, text, message,
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("center", ["1e50", "1e100", "1e160", "1e300"])
+def test_large_solution_node_exit2_one_line(capsys, tmp_path, center):
+    """A huge finite node overflows rho, the jets and the frame: verify --grid
+    exits 2 with the singular-metric line alone and no warning, while solve
+    --boundary file: reads only the edges and succeeds."""
+    path, out_path = tmp_path / "big.minsurf", tmp_path / "out.minsurf"
+    path.write_text(_grid_file(9, 9, "0 1 0 1", center=center))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify", "--grid", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: metric is singular")
+        code, out, err = run(capsys, "solve", "--boundary", f"file:{path}", "--out", str(out_path))
+        assert code == 0 and err == ""
+    assert caught == []
+    assert load_solution(out_path).converged
 
 
 @pytest.mark.parametrize("flags", [("--tol", "inf"), ("--tol", "nan"), ("--max-iter", "-3")])

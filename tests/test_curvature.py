@@ -157,11 +157,18 @@ def test_singularity_rule_is_scale_free(scale):
 
 
 def test_singularity_rule_is_relative():
-    assert curvature.metric_eigenvalues(np.diag([1.0, 2e-10])).tolist() == [2e-10, 1.0]
+    assert curvature.as_blocks(np.diag([1.0, 2e-10])).eigenvalues.tolist() == [2e-10, 1.0]
     with pytest.raises(SingularMetric):
-        curvature.metric_eigenvalues(np.diag([1.0, curvature.SINGULAR_RCOND]))
+        curvature.as_blocks(np.diag([1.0, curvature.SINGULAR_RCOND])).eigenvalues
     with pytest.raises(SingularMetric):
-        curvature.metric_eigenvalues(np.diag([1.0, np.inf]))
+        curvature.as_blocks(np.diag([1.0, np.inf])).eigenvalues
+    # per block: each block is regular, though the whole metric's ratio is 1e-12
+    blocks = curvature.BlockDiagonal([1e-6 * np.eye(2), 1e6 * np.eye(2)], ((0, 1), (1, -1)))
+    np.testing.assert_allclose(blocks.eigenvalues, [1e-6, 1e-6, -1e6, -1e6])
+    with pytest.raises(SingularMetric):
+        curvature.as_blocks(blocks.dense()).eigenvalues
+    with pytest.raises(SingularMetric):
+        curvature.BlockDiagonal([np.eye(2), np.diag([1.0, 1e-10])], ((0, 1), (1, 1))).eigenvalues
 
 
 # ---------------------------------------------------------------------------
@@ -325,21 +332,31 @@ def fresh_plans():
 
 def test_bit_check_fails_when_one_summation_order_changes(monkeypatch, fresh_plans):
     """The bit check can fail: summing Gamma^i_{de} Gamma^e_{ib} with i
-    outer and e inner, where einsum takes e outer, changes R's last bits."""
+    outer and e inner, where einsum takes e outer, changes R's last bits,
+    and adding the scalar's rows in decreasing b changes the scalar's."""
     contractions = curvature._contractions
 
     def swapped(*terms):
         return contractions(*((subs, order[::-1] if subs == "ide,eib->bd" else order, *luts)
                               for subs, order, *luts in terms))
 
+    def reversed_rows(*terms):
+        lut, tables = contractions(*terms)
+        if terms[0][0] == "bd,bd->b":
+            tables = [[t[:, ::-1] for t in ts] for ts in tables]
+        return lut, tables
+
     cfg = assembly.AssemblyConfig(3, (1, -1, 1), 0.3, 1.0, 0.5)
     comp, d1, d2 = assembly.assemble_arrays(sampled_frame("scherk", cfg, 40), cfg)
     want = padded_ricci(comp.dense(), d1.dense(), d2.dense())
     assert_engine_matches_padded(comp, d1, d2)
-    monkeypatch.setattr(curvature, "_contractions", swapped)
-    curvature._cached_plan.cache_clear()
-    with pytest.raises(AssertionError):
-        assert_bits_equal(curvature.ricci_arrays(comp, d1, d2)[:1], want[1:2])
+    for mutant, output in ((swapped, 0), (reversed_rows, 1)):  # ricci, scalar
+        with monkeypatch.context() as m:
+            m.setattr(curvature, "_contractions", mutant)
+            curvature._cached_plan.cache_clear()
+            got = curvature.ricci_arrays(comp, d1, d2)
+        with pytest.raises(AssertionError):
+            assert_bits_equal(got[output:output + 1], want[output + 1:output + 2])
 
 
 def test_blocked_ricci_equals_one_block(monkeypatch):
