@@ -191,6 +191,9 @@ def draw_points(spec, cfg, samples, seed):
     return np.concatenate(xs), np.concatenate(ys), consumed, skips, Jet3(np.concatenate(cs, axis=1))
 
 
+# an overflow shows as an inf or nan, which the singularity rule reports in
+# one line: a grid node of 1e300 overflows rho, the jets and the frame
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_verification(spec, cfg, samples, seed, tol, oracle):
     """Full verification of one surface/configuration pair."""
     t0 = time.monotonic()
@@ -228,7 +231,7 @@ def run_verification(spec, cfg, samples, seed, tol, oracle):
         k = min(ORACLE_POINTS, x.size)
         fd = curvature.ricci_fd(
             lambda px, py: assembly.assemble_arrays(
-                geometry2d.SurfaceFrame(spec.ambient, spec.phi_jet(px, py)), cfg)[0].dense(),
+                geometry2d.SurfaceFrame(spec.ambient, spec.phi_jet(px, py)), cfg)[0],
             (x[:k], y[:k]), ORACLE_STEP)
         oracle_entry = {"step": ORACLE_STEP, "points": k,
                         "max_abs_difference": float(np.abs(fd - ric[:k]).max())}
@@ -344,11 +347,8 @@ def cmd_verify(args) -> int:
         from . import solver  # scipy loads only for the commands that need it
         spec = solver.as_surface(solver.load_solution(args.grid), name=f"grid:{args.grid}")
 
-    # an overflow shows as an inf or nan, which the singularity rule reports
-    # in one line: a grid node of 1e300 overflows rho, the jets and the frame
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        report = run_verification(spec, cfg, samples=args.samples, seed=args.seed, tol=args.tol,
-                                  oracle=args.oracle)
+    report = run_verification(spec, cfg, samples=args.samples, seed=args.seed, tol=args.tol,
+                              oracle=args.oracle)
     _emit(dumps(report), args.json)
     return 0 if report["pass"] else 1
 
@@ -416,6 +416,7 @@ def cmd_solve(args) -> int:
 
 
 def _parse_metric(text, point):
+    """(comp, d1, d2) of a --metric spec over point, a batch of one point."""
     if text == "flat":
         return curvature.flat_metric(point)
     if text == "polar":
@@ -450,8 +451,7 @@ def _parse_metric(text, point):
             raise UsageError(f"eps must be {n} signs of +/-, got {signs!r}")
         cfg = assembly.AssemblyConfig(n=n, eps_blocks=tuple(1 if s == "+" else -1 for s in signs),
                                       e0=flags.e0, m1=flags.m1, n1=flags.n1)
-        arrays = assembly.assemble_arrays(geometry2d.frame_at(surfaces.get(name), point), cfg)
-        return tuple(a.dense()[0] for a in arrays)
+        return assembly.assemble_arrays(geometry2d.frame_at(surfaces.get(name), point), cfg)
     raise UsageError(f"unknown metric {text!r}")
 
 
@@ -459,14 +459,14 @@ def cmd_curvature(args) -> int:
     px, py = _numbers("--point", args.point, "X,Y")
     if not np.all(np.isfinite((px, py))):
         raise UsageError(f"--point must be two finite numbers, got {args.point!r}")
-    comp, d1, d2 = _parse_metric(args.metric, (px, py))
-    ric, scalar, denom = curvature.ricci_arrays(comp, d1, d2)
+    comp, d1, d2 = _parse_metric(args.metric, (np.array([px]), np.array([py])))
+    ric, scalar, denom = (a[0] for a in curvature.ricci_arrays(comp, d1, d2))
     max_abs = float(np.abs(ric).max())
     report = {
         "metric": args.metric,
         "point": [px, py],
         "dim": comp.shape[-1],
-        "christoffel": curvature.christoffel_arrays(comp, d1).tolist(),
+        "christoffel": curvature.christoffel_arrays(comp, d1)[0].tolist(),
         "ricci": ric.tolist(),
         "scalar": float(scalar),
         "max_abs_ricci": max_abs,

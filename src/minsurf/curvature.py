@@ -14,12 +14,13 @@ batched ``np.linalg.inv`` (inv(eps g) = eps inv(g), and a 2 x 2 inverse is
 bit for bit the dense inverse's block), and the singularity rule and the
 signature read one set of ``eigvalsh`` eigenvalues per part, which a
 BlockDiagonal keeps once computed; the rule holds each part to its own
-eigenvalue ratio.  ``BlockDiagonal.dense()`` builds the dim x dim arrays
-for callers that print or differentiate them: the ``curvature`` command
-and the finite-difference oracle's field.
+eigenvalue ratio.  No package caller flattens an assembled metric, the
+``curvature`` command and the oracle's field included, so one rule gives
+every verdict; ``dense()`` is the tests' dim x dim reference.
 
 ``central_differences`` is the one 9-point stencil of the oracle and the
-solver; ``BlockDiagonal.eigenvalues`` is the one singularity rule.
+solver, ``engine_arrays`` the one (comp, d1, d2) layout of a metric's
+partials, and ``BlockDiagonal.eigenvalues`` the one singularity rule.
 
 Index conventions: R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
 + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}, Ricci contracted on
@@ -148,7 +149,14 @@ class BlockDiagonal:
 
 def as_blocks(a):
     """a as a BlockDiagonal: a dense array is one block."""
-    return a if isinstance(a, BlockDiagonal) else BlockDiagonal((np.asarray(a),), ((0, 1),))
+    return a if isinstance(a, BlockDiagonal) else BlockDiagonal((np.asarray(a, dtype=float),), ((0, 1),))
+
+
+def engine_arrays(v, dx, dy, dxx, dyy, dxy):
+    """(comp, d1, d2) engine arrays of a metric v and its partials, given in
+    ``central_differences``' order."""
+    return v, np.stack([dx, dy], axis=-3), np.stack([np.stack([dxx, dxy], axis=-3),
+                                                     np.stack([dxy, dyy], axis=-3)], axis=-4)
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +423,10 @@ def _batch_x(p):
 def _diagonal_metric(x, g00, g11, dg11, ddg11):
     """(comp, d1, d2) of diag(g00, g11(x)) over x's batch shape, given
     g11's first and second x-derivatives."""
-    comp = np.zeros(x.shape + (2, 2))
-    d1 = np.zeros(x.shape + (2, 2, 2))
-    d2 = np.zeros(x.shape + (2, 2, 2, 2))
-    comp[..., 0, 0] = g00
-    comp[..., 1, 1] = g11
-    d1[..., 0, 1, 1] = dg11
-    d2[..., 0, 0, 1, 1] = ddg11
-    return comp, d1, d2
+    comp, dx, dxx, zero = (np.zeros(x.shape + (2, 2)) for _ in range(4))
+    comp[..., 0, 0], comp[..., 1, 1] = g00, g11
+    dx[..., 1, 1], dxx[..., 1, 1] = dg11, ddg11
+    return engine_arrays(comp, dx, zero, dxx, zero, zero)
 
 
 def flat_metric(p, signs=(1, 1)):
@@ -463,15 +467,14 @@ def ricci_fd(metric_field, p, step: float) -> np.ndarray:
     ``p = (x, y)`` holds scalars or equal-shape coordinate arrays.  The
     field is called once, on all nine stencil points: ``metric_field(X, Y)``
     gets X[i + 1, j + 1] = x + i step and Y[i + 1, j + 1] = y + j step, of
-    shape (3, 3) + shape(x), and returns the components, shape(X) + (dim, dim);
-    the metric may depend on the first two coordinates only.
+    shape (3, 3) + shape(x), and returns the metric there: dense, shape(X) +
+    (dim, dim), or a BlockDiagonal such as ``assemble_arrays``' comp, each
+    part differenced on its own; the metric may depend on x and y only.
     """
     x, y = (np.asarray(c, dtype=float) for c in p)
     s = float(step)
     off = np.arange(-1, 2) * s
     ox, oy = (o[(...,) + (None,) * x.ndim] for o in np.meshgrid(off, off, indexing="ij"))
-    g = np.asarray(metric_field(x + ox, y + oy), dtype=float)
-    gx, gy, gxx, gyy, gxy = central_differences(lambda i, j: g[i + 1, j + 1], s, s)
-    d1 = np.stack([gx, gy], axis=-3)
-    d2 = np.stack([np.stack([gxx, gxy], axis=-3), np.stack([gxy, gyy], axis=-3)], axis=-4)
-    return ricci_arrays(g[1, 1], d1, d2)[0]
+    g = as_blocks(metric_field(x + ox, y + oy))
+    parts = [engine_arrays(q[1, 1], *central_differences(lambda i, j: q[i + 1, j + 1], s, s)) for q in g.parts]
+    return ricci_arrays(*(BlockDiagonal(arrays, g.layout) for arrays in zip(*parts)))[0]

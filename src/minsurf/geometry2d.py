@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .curvature import SingularMetric, ricci_arrays
+from .curvature import SingularMetric, engine_arrays, ricci_arrays
 from .jets import DomainError, Jet3, deriv
 from .surfaces import AmbientMetric, InadmissiblePoint, SurfaceSpec
 
@@ -119,10 +119,7 @@ def _grab(m, i, j):
 
 def matrix_jets_to_arrays(m):
     """Convert a 2x2 matrix of jets into (comp, d1, d2) engine arrays."""
-    d1 = np.stack([_grab(m, 1, 0), _grab(m, 0, 1)], axis=-3)
-    d2 = np.stack([np.stack([_grab(m, 2, 0), _grab(m, 1, 1)], axis=-3),
-                   np.stack([_grab(m, 1, 1), _grab(m, 0, 2)], axis=-3)], axis=-4)
-    return _grab(m, 0, 0), d1, d2
+    return engine_arrays(*(_grab(m, i, j) for i, j in ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))))
 
 
 def _inverse(m):

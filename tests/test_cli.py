@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from minsurf import cli
+from minsurf.assembly import AssemblyConfig
 from minsurf.cli import dumps, main
+from minsurf.curvature import SingularMetric
 from minsurf.geometry2d import CHECK_NAMES
-from minsurf.solver import load_solution
+from minsurf.solver import as_surface, load_solution
 from minsurf.surfaces import catalog
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -44,11 +46,16 @@ def test_verify_scherk_instanton(capsys):
 def test_verify_wide_conformal_factor_passes(capsys):
     """e^{2 Phi} spans 1.6e-17 to 9.4e14 over these points, so 32 of the 200
     whole 6x6 metrics have an eigenvalue ratio below SINGULAR_RCOND, while
-    every 2x2 block keeps a ratio above 8e-3: the rule is per block."""
-    code, rep, err = verify_report(capsys, "--surface", "scherk", "--n", "2", "--e0", "1.959",
-                                   "--m1=-2.648", "--n1=-0.567", "--samples", "200")
-    assert code == 0 and err == ""
-    assert rep["pass"] is True
+    every 2x2 block keeps a ratio above 8e-3: the rule is per block.  The
+    oracle's field keeps the block form, so the same rule gives its verdict;
+    at seed 0 its stencil holds dense 6x6 metrics that fail the whole-metric ratio."""
+    for oracle in ((), ("--oracle", "--seed", "0")):
+        code, rep, err = verify_report(capsys, "--surface", "scherk", "--n", "2", "--e0", "1.959",
+                                       "--m1=-2.648", "--n1=-0.567", "--samples", "200", *oracle)
+        assert code == 0 and err == ""
+        assert rep["pass"] is True
+        if oracle:
+            assert rep["oracle"]["points"] == 10
 
 
 def test_verify_nonminimal_fails(capsys):
@@ -391,6 +398,19 @@ def test_large_solution_node_exit2_one_line(capsys, tmp_path, center):
     assert load_solution(out_path).converged
 
 
+def test_run_verification_large_node_raises_singular_metric(tmp_path):
+    """A library caller of run_verification gets the one SingularMetric and
+    no overflow warning, as the verify command does."""
+    path = tmp_path / "big.minsurf"
+    path.write_text(_grid_file(9, 9, "0 1 0 1", center="1e300"))
+    spec = as_surface(load_solution(path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SingularMetric, match="metric is singular"):
+            cli.run_verification(spec, AssemblyConfig(), samples=100, seed=42, tol=1e-7, oracle=False)
+    assert caught == []
+
+
 @pytest.mark.parametrize("flags", [("--tol", "inf"), ("--tol", "nan"), ("--max-iter", "-3")])
 def test_solve_bad_tol_or_max_iter_exit2(capsys, tmp_path, flags):
     path = tmp_path / "s.minsurf"
@@ -682,6 +702,12 @@ def test_curvature_assembled_block_signs(capsys):
                        "--point", "0.3,0.2")
     rep = json.loads(out)
     assert code == 0 and rep["dim"] == 6 and rep["max_abs_ricci"] < 1e-12
+    # e^{2 Phi} dwarfs g here, so the dense 6x6 metric fails the eigenvalue
+    # ratio that each 2x2 block passes: the command keeps the block form
+    code, out, err = run(capsys, "curvature", "--metric", "assembled:scherk,n=2,e0=1.959,m1=-2.648,n1=-0.567",
+                         "--point=-1.363069968125636,0.3220141398843781")
+    assert code == 0 and err == ""
+    assert json.loads(out)["normalized_ricci"] < 1e-12
 
 
 def test_curvature_invalid_specs(capsys):

@@ -416,27 +416,38 @@ def test_block_points_bound_the_per_block_temporaries():
     assert max(temporaries.values()) <= 1.5 * temporaries[8]
 
 
+#: the verify-deep configuration, and two surfaces whose off-diagonal jets
+#: are not bitwise symmetric
+FD_CONFIGS = [("scherk", assembly.AssemblyConfig(3, (1, -1, 1), 0.3, 1.0, 0.5)),
+              ("helicoid", assembly.AssemblyConfig(2, (1, -1), 0.2, 1.0, 0.25)),
+              ("catenoid", assembly.AssemblyConfig(2, (1, -1), 0.3, 1.0, 0.25))]
+
+
 def test_batched_ricci_fd_equals_pointwise_loop():
-    spec = surfaces.scherk()
-    cfg = assembly.AssemblyConfig(3, (1, -1, 1), 0.3, 1.0, 0.5)
-    x, y, _, _, _ = cli.draw_points(spec, cfg, 10, seed=11)
-    calls = []
+    """ricci_fd calls the field once on all nine stencil points and gives the
+    bits of a pointwise loop, of a grid batch and of the field's dense form."""
+    for name, cfg in FD_CONFIGS:
+        spec = surfaces.get(name)
+        x, y, _, _, _ = cli.draw_points(spec, cfg, 10, seed=11)
+        calls = []
 
-    def field(px, py):
-        fr = geometry2d.SurfaceFrame(spec.ambient, spec.phi_jet(px, py))
-        return assembly.assemble_arrays(fr, cfg)[0].dense()
+        def field(px, py):
+            fr = geometry2d.SurfaceFrame(spec.ambient, spec.phi_jet(px, py))
+            return assembly.assemble_arrays(fr, cfg)[0]
 
-    def counted(px, py):
-        calls.append((px, py))
-        return field(px, py)
+        def counted(px, py):
+            calls.append((px, py))
+            return field(px, py)
 
-    batched = ricci_fd(counted, (x, y), cli.ORACLE_STEP)
-    assert [np.shape(px) for px, _ in calls] == [(3, 3, 10)]  # one evaluation, all nine offsets
-    X, Y = calls[0]
-    for i, j in itertools.product((-1, 0, 1), repeat=2):  # the stencil point (x + i step, y + j step)
-        assert_bits_equal([X[i + 1, j + 1], Y[i + 1, j + 1]],
-                          [x + i * cli.ORACLE_STEP, y + j * cli.ORACLE_STEP])
-    loop = [ricci_fd(field, (x[k], y[k]), cli.ORACLE_STEP) for k in range(x.size)]
-    assert_bits_equal([batched], [np.array(loop)])
-    grid = ricci_fd(field, (x.reshape(2, 5), y.reshape(2, 5)), cli.ORACLE_STEP)
-    assert_bits_equal([grid], [batched.reshape(2, 5, cfg.dim, cfg.dim)])
+        batched = ricci_fd(counted, (x, y), cli.ORACLE_STEP)
+        assert [np.shape(px) for px, _ in calls] == [(3, 3, 10)]  # one evaluation, all nine offsets
+        X, Y = calls[0]
+        for i, j in itertools.product((-1, 0, 1), repeat=2):  # the stencil point (x + i step, y + j step)
+            assert_bits_equal([X[i + 1, j + 1], Y[i + 1, j + 1]],
+                              [x + i * cli.ORACLE_STEP, y + j * cli.ORACLE_STEP])
+        loop = [ricci_fd(field, (x[k], y[k]), cli.ORACLE_STEP) for k in range(x.size)]
+        assert_bits_equal([batched], [np.array(loop)])
+        grid = ricci_fd(field, (x.reshape(2, 5), y.reshape(2, 5)), cli.ORACLE_STEP)
+        assert_bits_equal([grid], [batched.reshape(2, 5, cfg.dim, cfg.dim)])
+        dense = ricci_fd(lambda px, py: field(px, py).dense(), (x, y), cli.ORACLE_STEP)
+        assert_bits_equal([batched], [dense])
