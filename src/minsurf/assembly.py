@@ -88,7 +88,7 @@ def assemble_arrays(fr: SurfaceFrame, cfg: AssemblyConfig):
     shape, as BlockDiagonal arrays of two parts: the x-block e^{2 Phi} g
     and g, which the y-blocks repeat with their signs eps_i."""
     e2 = conformal_factor_jet(fr, cfg)
-    xblock = matrix_jets_to_arrays([[e2 * fr.g[a][b] for b in range(2)] for a in range(2)])
+    xblock = matrix_jets_to_arrays(e2 * fr.g)
     layout = ((0, 1),) + tuple((1, e) for e in cfg.eps_blocks)
     return tuple(BlockDiagonal((xa, ga), layout) for xa, ga in zip(xblock, fr.g_arrays))
 

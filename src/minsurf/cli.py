@@ -38,6 +38,11 @@ REDRAW_FACTOR = 10
 ORACLE_POINTS = 10
 ORACLE_STEP = 1e-3
 
+#: points per chunk of the verify pipeline and candidates per sampling round,
+#: so memory past the sample's phi jets does not grow with --samples (the
+#: README's verify section says how the size was chosen)
+VERIFY_CHUNK = 1024
+
 
 # ---------------------------------------------------------------------------
 # deterministic JSON (fixed key order, 17 significant digits)
@@ -172,7 +177,7 @@ def draw_points(spec, cfg, samples, seed):
     consumed = 0
     budget = REDRAW_FACTOR * samples
     while accepted < samples and consumed < budget:
-        chunk = min(max(samples - accepted, 32), budget - consumed)
+        chunk = min(max(samples - accepted, 32), VERIFY_CHUNK, budget - consumed)
         u = halton.random(chunk)
         cx = x0 + u[:, 0] * (x1 - x0)
         cy = y0 + u[:, 1] * (y1 - y0)
@@ -191,40 +196,55 @@ def draw_points(spec, cfg, samples, seed):
     return np.concatenate(xs), np.concatenate(ys), consumed, skips, Jet3(np.concatenate(cs, axis=1))
 
 
+def _first_max(best, vals, start):
+    """The running (max, point) best, updated with vals at points start,
+    start + 1, ... as np.argmax over the whole batch picks: first max, nan first."""
+    at = int(np.argmax(vals))
+    return (best, (vals[at], start + at))[int(np.argmax([best[0], vals[at]]))]
+
+
 # an overflow shows as an inf or nan, which the singularity rule reports in
 # one line: a grid node of 1e300 overflows rho, the jets and the frame
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_verification(spec, cfg, samples, seed, tol, oracle):
-    """Full verification of one surface/configuration pair."""
+    """Full verification of one surface/configuration pair.
+
+    Frame, identity suite, assembly, Ricci engine and signature run over
+    chunks of VERIFY_CHUNK sampled points, each reduced by ``_first_max`` as
+    it finishes, so the report does not depend on the chunk size.
+    """
     t0 = time.monotonic()
     x, y, drawn, skips, phi = draw_points(spec, cfg, samples, seed)
     if x.size == 0:
         raise DomainError("no admissible sample points found within the redraw budget")
-    frame = geometry2d.SurfaceFrame(spec.ambient, phi)
-    checks = geometry2d.run_identity_checks(frame, CheckConstants())
+    assert VERIFY_CHUNK >= ORACLE_POINTS  # the oracle's points are all in chunk 0
+    worst = dict.fromkeys(CHECK_NAMES + ("ricci", "max_abs"), (-np.inf, 0))
+    skipped = dict.fromkeys(CHECK_NAMES, 0)
+    same_sig = True
+    for start in range(0, x.size, VERIFY_CHUNK):
+        frame = geometry2d.SurfaceFrame(spec.ambient, Jet3(phi.c[:, start:start + VERIFY_CHUNK]))
+        checks = geometry2d.run_identity_checks(frame, CheckConstants())
+        comp, d1, d2 = assembly.assemble_arrays(frame, cfg)
+        ric, _, denom = curvature.ricci_arrays(comp, d1, d2)
+        ric_abs = np.abs(ric).max(axis=(-2, -1))
+        worst["max_abs"] = _first_max(worst["max_abs"], ric_abs, start)
+        worst["ricci"] = _first_max(worst["ricci"], ric_abs / denom, start)
+        for name, res in checks.items():
+            skipped[name] += int(res.valid.size - res.valid.sum())
+            worst[name] = _first_max(worst[name], np.where(res.valid, res.normalized, -np.inf), start)
+        sigs = assembly.signature_values(comp)
+        if start == 0:
+            sig, ric0 = int(sigs[0]), ric[:ORACLE_POINTS].copy()
+        same_sig &= bool(np.all(sigs == sig))
+        del frame, checks, comp, d1, d2, ric, res  # before the next chunk's arrays are built
 
     per_check = {}
-    checks_pass = True
     for name in CHECK_NAMES:
-        res = checks[name]
-        nvalid = int(res.valid.sum())
-        entry = {"max_normalized_residual": None, "worst_point": None,
-                 "points_skipped": int(res.valid.size - nvalid)}
-        if nvalid:
-            vals = np.where(res.valid, res.normalized, -np.inf)
-            worst = int(np.argmax(vals))
-            entry["max_normalized_residual"] = float(vals[worst])
-            entry["worst_point"] = [float(x[worst]), float(y[worst])]
-            checks_pass &= vals[worst] < IDENTITY_TOL
-        per_check[name] = entry
-
-    comp, d1, d2 = assembly.assemble_arrays(frame, cfg)
-    ric, _, denom = curvature.ricci_arrays(comp, d1, d2)
-    max_abs = np.abs(ric).max(axis=(-2, -1))
-    max_norm = max_abs / denom
-    worst = int(np.argmax(max_norm))
-    sigs = assembly.signature_values(comp)
-    sig = int(sigs[0])
+        value, at = worst[name]
+        valid = skipped[name] < x.size
+        per_check[name] = {"max_normalized_residual": float(value) if valid else None,
+                           "worst_point": [float(x[at]), float(y[at])] if valid else None,
+                           "points_skipped": skipped[name]}
 
     oracle_entry = None
     if oracle:
@@ -234,9 +254,10 @@ def run_verification(spec, cfg, samples, seed, tol, oracle):
                 geometry2d.SurfaceFrame(spec.ambient, spec.phi_jet(px, py)), cfg)[0],
             (x[:k], y[:k]), ORACLE_STEP)
         oracle_entry = {"step": ORACLE_STEP, "points": k,
-                        "max_abs_difference": float(np.abs(fd - ric[:k]).max())}
+                        "max_abs_difference": float(np.abs(fd - ric0).max())}
 
-    ricci_pass = bool(max_norm[worst] < tol)
+    max_norm, at = worst["ricci"]
+    checks_pass = all(worst[name][0] < IDENTITY_TOL for name in CHECK_NAMES)  # -inf: no valid point
     report = {
         "surface": spec.name,
         "config": {"n": cfg.n, "eps_blocks": list(cfg.eps_blocks), "e0": cfg.e0,
@@ -248,12 +269,12 @@ def run_verification(spec, cfg, samples, seed, tol, oracle):
         "points_skipped": drawn - int(x.size),
         "skip_reasons": {k: skips[k] for k in SKIP_REASONS},
         "per_check": per_check,
-        "ricci": {"max_abs": float(max_abs.max()),
-                  "max_normalized": float(max_norm[worst]),
-                  "worst_point": [float(x[worst]), float(y[worst])]},
+        "ricci": {"max_abs": float(worst["max_abs"][0]),
+                  "max_normalized": float(max_norm),
+                  "worst_point": [float(x[at]), float(y[at])]},
         "signature": sig,
         "oracle": oracle_entry,
-        "pass": bool(checks_pass and ricci_pass and np.all(sigs == sig)),
+        "pass": bool(checks_pass and max_norm < tol and same_sig),
         "wall_time_ms": int(round((time.monotonic() - t0) * 1000.0)),
     }
     return report
@@ -541,7 +562,23 @@ def _normalize_argv(argv):
     return out
 
 
+def _reuse_freed_memory():
+    """Start glibc malloc's thresholds at the ceiling its dynamic rule can
+    reach (mmap 32 MiB, trim twice that), so that each verify chunk reuses
+    the heap pages the last one freed.  With the defaults glibc trims the
+    heap after every chunk and the next chunk faults it in again: about
+    9000 minor faults per 5000-point verify.  Without glibc, nothing changes."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no mallopt, or no process handle
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _reuse_freed_memory()
     parser = build_parser()
     argv = _normalize_argv(sys.argv[1:] if argv is None else argv)
     try:

@@ -10,7 +10,10 @@ minimal surfaces is what the Ricci-flat construction rests on.
 ``SurfaceFrame`` is the one owner of these quantities for a batch of
 points: built from the ambient metric and phi's jet alone, it holds the
 jets and computes the shared plain arrays once, and the identity suite and
-assembly take them from it.  ``frame_at`` is the screened entry point: it
+assembly take them from it.  Its 2 x 2 matrices h, h^{-1}, g and g^{-1}
+are each one Jet3 with leading (2, 2) batch axes, so one jet operation
+covers the four entries, and each entry runs the operations, in order, of
+its own scalar jet.  ``frame_at`` is the screened entry point: it
 checks that every point is admissible, evaluates phi and builds the frame;
 a single point is a batch of one, and callers read its fields (``K``,
 ``H``, ``r``, ``lambda0``, ...) at index 0.
@@ -25,8 +28,9 @@ normalized value so that steep surface regions keep a meaningful scale.
 
 Checks that take logarithms of w1, w2 or xi1, xi2 are masked rather than
 split: they run over the whole batch, with each invalid log base replaced
-by 1, and report NaN (invalid) at the points where a base is not positive.
-No sub-frame is ever built.
+by 1, and report NaN (invalid) at the points where a base is not positive,
+so the suite never splits its frame.  ``verify`` builds one frame per chunk
+of its sample.
 """
 
 from __future__ import annotations
@@ -60,6 +64,11 @@ class SurfaceFrame:
     """Batched jet workspace for a surface at an array of sample points,
     from the ambient metric and the order-3 jet of phi at those points.
 
+    ``p`` stacks the gradient jets phi_{,mu} on a leading axis, and ``h``,
+    ``h_inv``, ``g`` and ``g_inv`` are jets with leading (2, 2) matrix axes
+    (h's (0, 1) entry is (eps phi_x) phi_y and its (1, 0) entry
+    (eps phi_y) phi_x, which can differ in the last bit); ``w`` and ``xi``
+    are the jets of h's and g^{-1}'s diagonal entries.
     It also owns the plain arrays that the identity suite and assembly
     share, each computed once here: the values of h and h^{-1}, g's engine
     arrays, the Hessian of phi, lambda0, K, H and r.  Callers must have
@@ -70,31 +79,30 @@ class SurfaceFrame:
     def __init__(self, ambient: AmbientMetric, phi: Jet3):
         self.ambient = amb = ambient
         self.phi = f = phi
-        self.p = [deriv(f, 0), deriv(f, 1)]  # jets of phi_{,mu}, valid to order 2
-        up = amb.raised(*self.p)  # phi^mu
-        self.rho = amb.rho(*self.p)
+        self.p = p = _gradient(f)  # phi_{,mu} along the leading axis, valid to order 2
+        px_py = Jet3(p.c[:, 0]), Jet3(p.c[:, 1])
+        self.rho = amb.rho(*px_py)
         if np.any(self.rho.value <= 0.0):
             raise DomainError("rho <= 0 in SurfaceFrame")
         self.log_rho = jets.log(self.rho)
         self.sr = jets.sqrt(self.rho)
-        g0, gi = amb.g0, amb.g0_inv
-        eps_p = [amb.eps * q for q in self.p]
-        self.h = [[g0[m, n] + eps_p[m] * self.p[n] for n in range(2)] for m in range(2)]
-        eps_rho = amb.eps / self.rho
-        eps_up = [eps_rho * u for u in up]
-        self.h_inv = [[gi[m, n] - eps_up[m] * up[n] for n in range(2)] for m in range(2)]
-        inv_sr = jets.powr(self.sr, -1)
-        self.g = [[self.h[m][n] * inv_sr for n in range(2)] for m in range(2)]
+        gi = amb.g0_inv
+        g0_b, gi_b = (m.reshape((2, 2) + (1,) * f.value.ndim) for m in (amb.g0, gi))  # over the batch
+        up = Jet3(np.stack([u.c for u in amb.raised(*px_py)], axis=1))  # phi^mu
+        # eps phi_m phi_n + g0 and g0^{-1} - (eps / rho) phi^m phi^n, the constant added last
+        self.h = Jet3((amb.eps * p).c[:, :, None]) * Jet3(p.c[:, None]) + g0_b
+        self.h_inv = -(Jet3(((amb.eps / self.rho) * up).c[:, :, None]) * Jet3(up.c[:, None])) + gi_b
+        self.g = self.h * jets.powr(self.sr, -1)
         self.sqrt_det_g, self.g_inv = _inverse(self.g)
-        self.w = (self.h[0][0], self.h[1][1])  # w1 = k1 + eps phi_x^2, w2 = k2 + eps phi_y^2
-        self.xi = [self.g_inv[0][0], self.g_inv[1][1]]
+        # w1 = k1 + eps phi_x^2 and w2 = k2 + eps phi_y^2
+        self.w = [Jet3(self.h.c[:, i, i]) for i in range(2)]
+        self.xi = [Jet3(self.g_inv.c[:, i, i]) for i in range(2)]
         self.psi0 = -0.25 * self.log_rho
 
         # plain arrays shared by the identity suite and assembly
         self.g_arrays = matrix_jets_to_arrays(self.g)  # (comp, d1, d2) for the Ricci engine
-        self.h_values, self.h_inv_values = _grab(self.h, 0, 0), _grab(self.h_inv, 0, 0)
-        self.hess = np.stack([np.stack([f.partial(2, 0), f.partial(1, 1)], axis=-1),
-                              np.stack([f.partial(1, 1), f.partial(0, 2)], axis=-1)], axis=-2)
+        self.h_values, self.h_inv_values = _matrix(self.h.value), _matrix(self.h_inv.value)
+        self.hess = _matrix(np.stack([p.partial(1, 0), p.partial(0, 1)], axis=1))
         rho = self.rho.value
         M = np.einsum("mk,...kn->...mn", gi, self.hess)
         # phi^a_a and phi_{,ma} g0^{ab} phi_{,bn}, which r and C1 share
@@ -111,38 +119,56 @@ class SurfaceFrame:
                   + (0.25 / rho ** 2)[..., None, None] * np.einsum("...m,...n->...mn", drho, drho))
 
 
-def _grab(m, i, j):
-    """Partial d^i_x d^j_y of a 2x2 matrix of jets, shape (..., 2, 2)."""
-    return np.stack([np.stack([m[0][0].partial(i, j), m[0][1].partial(i, j)], axis=-1),
-                     np.stack([m[1][0].partial(i, j), m[1][1].partial(i, j)], axis=-1)], axis=-2)
+def _gradient(f: Jet3) -> Jet3:
+    """Jet of (d_x f, d_y f), stacked along a new leading batch axis."""
+    return Jet3(np.stack([deriv(f, 0).c, deriv(f, 1).c], axis=1))
 
 
-def matrix_jets_to_arrays(m):
-    """Convert a 2x2 matrix of jets into (comp, d1, d2) engine arrays."""
-    return engine_arrays(*(_grab(m, i, j) for i, j in ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))))
+def _contract(a: Jet3, b: Jet3, axis) -> Jet3:
+    """Jet of a * b summed over its batch axis ``axis`` of length 2,
+    index 0 first: a 2x2 matrix times a vector or a matrix."""
+    c = np.moveaxis((a * b).c, axis + 1, 0)
+    return Jet3(c[0] + c[1])
 
 
-def _inverse(m):
-    """(sqrt|det|, inverse) of a symmetric 2x2 matrix of jets."""
-    det = m[0][0] * m[1][1] - m[0][1] * m[0][1]
+def _matrix(a):
+    """An array with leading (2, 2) matrix axes, as a C-ordered (..., 2, 2)
+    array: einsum's summation order follows the memory layout."""
+    return np.ascontiguousarray(np.moveaxis(a, (0, 1), (-2, -1)))
+
+
+def matrix_jets_to_arrays(m: Jet3):
+    """(comp, d1, d2) engine arrays of a jet matrix with leading (2, 2) batch axes."""
+    return engine_arrays(*(_matrix(m.partial(i, j))
+                           for i, j in ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))))
+
+
+def _inverse(m: Jet3):
+    """(sqrt|det|, inverse) of a symmetric 2x2 jet matrix; both off-diagonal
+    entries of the inverse are read from the (0, 1) entry."""
+    a, b, d = Jet3(m.c[:, 0, 0]), Jet3(m.c[:, 0, 1]), Jet3(m.c[:, 1, 1])
+    det = a * d - b * b
     if np.any(det.value == 0.0):
         raise SingularMetric("metric determinant vanishes")
-    inv_det = jets.powr(det, -1)
-    return jets.sqrt(det * np.sign(det.value)), [[m[1][1] * inv_det, -m[0][1] * inv_det],
-                                                 [-m[0][1] * inv_det, m[0][0] * inv_det]]
+    adj = Jet3(np.stack([np.stack([d.c, -b.c], axis=1), np.stack([-b.c, a.c], axis=1)], axis=1))
+    return jets.sqrt(det * np.sign(det.value)), adj * jets.powr(det, -1)
 
 
-def _divergence(flux):
-    """(d_a flux^a, max_a |d_a flux^a|) of a jet vector field, as value arrays."""
-    terms = np.stack([flux[0].partial(1, 0), flux[1].partial(0, 1)])
+def _divergence(flux: Jet3):
+    """(d_a flux^a, max_a |d_a flux^a|) of a jet vector field on the leading
+    batch axis, as value arrays over the remaining axes."""
+    terms = np.stack([flux.partial(1, 0)[0], flux.partial(0, 1)[1]])
     return terms.sum(axis=0), np.abs(terms).max(axis=0)
 
 
-def _laplace_terms(s, inv, f: Jet3):
+def _laplace_terms(s, inv, fs):
     """(value, term scale) of the Laplace-Beltrami |det|^{-1/2} d_a(|det|^{1/2}
-    m^{ab} d_b f) for a jet metric m given as (s = |det|^{1/2}, m^{-1})."""
-    df = [deriv(f, 0), deriv(f, 1)]
-    div, scale = _divergence([s * (inv[a][0] * df[0] + inv[a][1] * df[1]) for a in range(2)])
+    m^{ab} d_b f) for a jet metric m given as (s = |det|^{1/2}, m^{-1}), as
+    arrays with one leading entry per jet f of the list fs.  The jets are
+    stacked at their lowest order, which keeps the bits of the order-1 flux."""
+    n = min(len(f.c) for f in fs)
+    df = _gradient(Jet3(np.stack([f.c[:n] for f in fs], axis=1)))
+    div, scale = _divergence(s * _contract(Jet3(inv.c[:, :, :, None]), df, 1))
     return div / s.value, scale / np.abs(s.value)
 
 
@@ -196,11 +222,6 @@ def _tensor_check(*terms, rank=2):
                             _abs_max(*terms).max(axis=axes))
 
 
-def _masked_log(j: Jet3, ok) -> Jet3:
-    """log of a jet whose base is replaced by 1 wherever ``ok`` is False."""
-    return jets.log(Jet3(np.where(ok, j.c, 1.0)))
-
-
 def run_identity_checks(fr: SurfaceFrame, consts: CheckConstants) -> dict:
     """Evaluate all identity checks over the frame's point batch."""
     amb = fr.ambient
@@ -229,10 +250,9 @@ def run_identity_checks(fr: SurfaceFrame, consts: CheckConstants) -> dict:
 
     # P2a/P2b: conservation of the weighted gradient and of the weighted
     # inverse metric on minimal graphs, by jet propagation
-    checks["P2a"] = BatchCheck.dense(*_divergence(
-        [fr.sr * (fr.h_inv[a][0] * fr.p[0] + fr.h_inv[a][1] * fr.p[1]) for a in range(2)]))
-    raws, scales = zip(*(_divergence([fr.sr * fr.h_inv[a][b] for a in range(2)]) for b in range(2)))
-    checks["P2b"] = BatchCheck.dense(np.max(np.abs(raws), axis=0), np.max(scales, axis=0))
+    checks["P2a"] = BatchCheck.dense(*_divergence(fr.sr * _contract(fr.h_inv, fr.p, 1)))
+    raw, scale = _divergence(fr.sr * fr.h_inv)  # the divergence over a of each column b
+    checks["P2b"] = BatchCheck.dense(np.abs(raw).max(axis=0), scale.max(axis=0))
 
     # P3a: R + (1/4) g^{ab} tr[d_a g^{-1} d_b g], the scalar condition
     # defining the admissible 2-metric class
@@ -243,38 +263,38 @@ def run_identity_checks(fr: SurfaceFrame, consts: CheckConstants) -> dict:
     # P3b: R_ab = -((rho-1)/2) r_ab
     checks["P3b"] = _tensor_check(R_ab, 0.5 * (rho - 1.0)[..., None, None] * r)
 
+    # P4b and the psi1 branch of CC1 need xi1, xi2 > 0; P4c, MU and the mu
+    # branch need w1, w2 > 0 (Lorentzian ambients can violate either).
+    a0, a1, a2, b1, b2 = consts.a0, consts.a1, consts.a2, consts.b1, consts.b2
+    xi_ok = (fr.xi[0].value > 0.0) & (fr.xi[1].value > 0.0)
+    w_ok = (fr.w[0].value > 0.0) & (fr.w[1].value > 0.0)
+    # log xi1, log xi2, log w1 and log w2 in one call, each invalid base replaced by 1
+    ok = np.stack([xi_ok, xi_ok, w_ok, w_ok])
+    logs = jets.log(Jet3(np.where(ok, np.stack([j.c for j in (*fr.xi, *fr.w)], axis=1), 1.0))).c
+    zeta = (a0 / 2.0) * fr.log_rho
+    psi1 = a1 * Jet3(logs[:, 0]) + a2 * Jet3(logs[:, 1])
+    psi2 = b1 * Jet3(logs[:, 2]) + b2 * Jet3(logs[:, 3])
+    # mu = (b1+b2) zeta - a0 psi2 satisfies lap_g mu = -a0 (b1+b2) R
+    mu = (b1 + b2) * (a0 / 2.0) * fr.log_rho - a0 * psi2
+    laps, scales = _laplace_terms(s, ginv, [fr.psi0, zeta, psi1, psi2, mu, fr.phi])
+    lap_psi0, lap_zeta, lap, lap2, lap_mu, lap_phi = laps
+    lap_psi0_scale, lz_scale, lap_scale, lap2_scale, lap_mu_scale, lap_phi_scale = scales
+
     # P3c: R = sqrt(rho) r - 2 lap_g psi0 (trace of the conformal relation)
     r_scalar = np.einsum("...mn,...mn->...", fr.h_inv_values, r)
-    lap_psi0, lap_psi0_scale = _laplace_terms(s, ginv, fr.psi0)
     checks["P3c"] = BatchCheck.dense(R - sr * r_scalar + 2.0 * lap_psi0,
                                      _abs_max(R, sr * r_scalar, 2.0 * lap_psi0_scale))
 
     # P4a: lap_g zeta - a0 R + a0 sqrt(rho) K, zeta = (a0/2) log rho
-    a0, a1, a2, b1, b2 = consts.a0, consts.a1, consts.a2, consts.b1, consts.b2
-    zeta = (a0 / 2.0) * fr.log_rho
-    lap_zeta, lz_scale = _laplace_terms(s, ginv, zeta)
     checks["P4a"] = BatchCheck.dense(lap_zeta - a0 * R + a0 * sr * K,
                                      _abs_max(lz_scale, a0 * R, a0 * sr * K))
 
-    # P4b and the psi1 branch of CC1 need xi1, xi2 > 0; P4c, MU and the mu
-    # branch need w1, w2 > 0 (Lorentzian ambients can violate either).
-    xi_ok = (fr.xi[0].value > 0.0) & (fr.xi[1].value > 0.0)
-    w_ok = (fr.w[0].value > 0.0) & (fr.w[1].value > 0.0)
-
-    psi1 = a1 * _masked_log(fr.xi[0], xi_ok) + a2 * _masked_log(fr.xi[1], xi_ok)
-    lap, lap_scale = _laplace_terms(s, ginv, psi1)
     checks["P4b"] = BatchCheck.masked(lap - (a1 + a2) * R, _abs_max(lap_scale, (a1 + a2) * R), xi_ok)
     cc1_psi1 = BatchCheck.masked(lap + (a1 + a2) * trterm,
                                  _abs_max(lap_scale, (a1 + a2) * trterm), xi_ok)
-
-    psi2 = b1 * _masked_log(fr.w[0], w_ok) + b2 * _masked_log(fr.w[1], w_ok)
-    lap2, lap2_scale = _laplace_terms(s, ginv, psi2)
     checks["P4c"] = BatchCheck.masked(
         lap2 - 2.0 * (b1 + b2) * R + (b1 + b2) * sr * K,
         _abs_max(lap2_scale, 2.0 * (b1 + b2) * R, (b1 + b2) * sr * K), w_ok)
-    # mu = (b1+b2) zeta - a0 psi2 satisfies lap_g mu = -a0 (b1+b2) R
-    mu = (b1 + b2) * (a0 / 2.0) * fr.log_rho - a0 * psi2
-    lap_mu, lap_mu_scale = _laplace_terms(s, ginv, mu)
     checks["MU"] = BatchCheck.masked(lap_mu + a0 * (b1 + b2) * R,
                                      _abs_max(lap_mu_scale, a0 * (b1 + b2) * R), w_ok)
     cc1_mu = BatchCheck.masked(lap_mu + (-a0 * (b1 + b2)) * trterm,
@@ -293,15 +313,12 @@ def run_identity_checks(fr: SurfaceFrame, consts: CheckConstants) -> dict:
 
     # P5: sigma-model equation d_a [g^{ab} g^{-1} d_b g] = 0, the matrix
     # condition defining the admissible 2-metric class
-    dgmat = [[[deriv(fr.g[i][j], e) for j in range(2)] for i in range(2)] for e in range(2)]
-    inner = [[[ginv[i][0] * dgmat[b][0][j] + ginv[i][1] * dgmat[b][1][j] for b in range(2)]
-              for j in range(2)] for i in range(2)]
-    raws, scales = zip(*(_divergence([ginv[a][0] * v[0] + ginv[a][1] * v[1] for a in range(2)])
-                         for row in inner for v in row))
-    checks["P5"] = BatchCheck.dense(np.max(np.abs(raws), axis=0), np.max(scales, axis=0))
+    dg = _gradient(fr.g)  # d_b g_{kj}, axes (b, k, j)
+    inner = _contract(Jet3(ginv.c[:, None, :, :, None]), Jet3(dg.c[:, :, None]), 2)  # (g^{-1} d_b g)_{ij}
+    raw, scale = _divergence(_contract(Jet3(ginv.c[:, :, :, None, None]), inner, 1))  # axes (i, j)
+    checks["P5"] = BatchCheck.dense(np.abs(raw).max(axis=(0, 1)), scale.max(axis=(0, 1)))
 
     # PHI-H: phi itself is g-harmonic on minimal surfaces
-    lap_phi, lap_phi_scale = _laplace_terms(s, ginv, fr.phi)
     checks["PHI-H"] = BatchCheck.dense(lap_phi, lap_phi_scale)
 
     return checks

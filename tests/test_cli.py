@@ -660,14 +660,117 @@ _WALL_TIME = re.compile(r'"wall_time_ms": \d+')
 
 @pytest.mark.parametrize("name,argv,exit_code", VERIFY_GOLDEN, ids=[g[0] for g in VERIFY_GOLDEN])
 def test_verify_report_bytes_match_golden(capsys, tmp_path, monkeypatch, name, argv, exit_code):
+    """Once at the default chunk size and once in chunks of 16 points, so
+    that every case crosses chunk boundaries: the oracle, bi_wave's masked
+    check, the failing nonminimal_x2 and the grid."""
     monkeypatch.chdir(tmp_path)  # the grid file's relative name is part of its report
     if "--grid" in argv:
         assert run(capsys, "solve", "--boundary", "scherk", "--grid", "33,33",
                    "--out", "s33.minsurf")[0] == 0
-    code, out, err = run(capsys, "verify", *argv)
-    assert code == exit_code and err == ""
-    masked = _WALL_TIME.sub('"wall_time_ms": 0', out)
-    assert masked.encode() == (GOLDEN / f"verify_{name}.json").read_bytes()
+    for chunk in (cli.VERIFY_CHUNK, 16):
+        monkeypatch.setattr(cli, "VERIFY_CHUNK", chunk)
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == exit_code and err == ""
+        masked = _WALL_TIME.sub('"wall_time_ms": 0', out)
+        assert masked.encode() == (GOLDEN / f"verify_{name}.json").read_bytes(), chunk
+
+
+def _xy_lorentzian():
+    """phi = x y over the Lorentzian ambient: rho and w2 change sign, so
+    candidates are skipped and P4c, MU and CC1 are valid at some points only."""
+    from minsurf.jets import Jet3
+    from minsurf.surfaces import LORENTZIAN, SurfaceSpec
+
+    return SurfaceSpec("xy", lambda x, y: Jet3.variable("x", x) * Jet3.variable("y", y), LORENTZIAN,
+                       (0.0, 2.0, 0.0, 2.0), admissible=lambda x, y: x + y > 0.5)
+
+
+@pytest.mark.parametrize("size", ["C-1", "C", "C+1", "3C+1"])
+@pytest.mark.parametrize("case", ["scherk_n3_oracle", "xy_lorentzian"])
+def test_verify_report_bytes_do_not_depend_on_chunks(monkeypatch, size, case):
+    """A sample of P points around multiples of the chunk size C gives the
+    report, byte for byte, of one chunk holding all P points."""
+    c = cli.VERIFY_CHUNK
+    samples = {"C-1": c - 1, "C": c, "C+1": c + 1, "3C+1": 3 * c + 1}[size]
+    if case == "xy_lorentzian":
+        spec, cfg, oracle = _xy_lorentzian(), AssemblyConfig(2, (1, -1), 0.3, 1.0, 0.0), False
+    else:
+        spec, cfg, oracle = catalog()[1], AssemblyConfig(3, (1, -1, 1), 0.3, 1.0, 0.5), True
+
+    def report():
+        rep = cli.run_verification(spec, cfg, samples, seed=4, tol=1e-7, oracle=oracle)
+        return dumps(dict(rep, wall_time_ms=0))
+
+    chunked = report()
+    monkeypatch.setattr(cli, "VERIFY_CHUNK", samples)
+    assert chunked == report()
+
+
+def test_first_max_is_argmax_over_the_whole_batch():
+    """Reducing chunk by chunk with _first_max picks what np.argmax picks over
+    the concatenated batch: ties keep the first point, a nan wins (the first
+    nan first), and -inf fills where a chunk has no valid point."""
+    cases = [
+        [[1.0, 3.0], [3.0, 2.0]],  # a tie across chunks
+        [[1.0, 2.0], [0.5, np.nan, np.nan]],  # a nan in a later chunk
+        [[np.nan, 1.0], [np.nan, 5.0]],  # the first nan stays
+        [[-np.inf, -np.inf], [0.5, 0.5], [-np.inf]],  # no valid point in some chunks
+        [[-np.inf], [-np.inf, -np.inf]],  # no valid point at all
+    ]
+    rng = np.random.default_rng(5)
+    for _ in range(300):  # few distinct values, so ties and nans across chunks are common
+        values = rng.choice([-np.inf, 0.0, 1.0, 2.0, np.nan], size=rng.integers(1, 12),
+                            p=[0.3, 0.2, 0.2, 0.2, 0.1])
+        cuts = np.sort(rng.choice(np.arange(1, values.size), size=rng.integers(0, values.size), replace=False))
+        cases.append([list(part) for part in np.split(values, cuts)])
+    for chunks in cases:
+        best, start = (-np.inf, 0), 0
+        for vals in chunks:
+            best = cli._first_max(best, np.array(vals), start)
+            start += len(vals)
+        whole = np.concatenate(chunks)
+        at = int(np.argmax(whole))
+        assert best[1] == at and np.array_equal(best[0], whole[at], equal_nan=True), chunks
+
+
+def test_verify_error_in_a_later_chunk_exits_2_without_report(capsys, tmp_path, monkeypatch):
+    """A 1e300 node that only a later chunk's points read (their 5x5
+    stencils reach it) ends the run with exit 2, one line and no report."""
+    path = tmp_path / "late.minsurf"
+    path.write_text(_grid_file(25, 25, "0 1 0 1", center="1e300"))
+    monkeypatch.setattr(cli, "VERIFY_CHUNK", 16)
+    sol = load_solution(path)
+    with np.errstate(over="ignore", invalid="ignore"):  # as run_verification screens
+        x, y = cli.draw_points(as_surface(sol), AssemblyConfig(), 100, seed=42)[:2]
+    i, j = sol.nearest_node(x, y)
+    reads_big = (np.abs(i - 12) <= 2) & (np.abs(j - 12) <= 2)
+    assert not reads_big[:16].any() and reads_big.any()  # chunk 0 is clean, a later one is not
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify", "--grid", str(path))
+    assert code == 2 and out == "" and caught == []
+    # the first bad chunk raises SingularMetric for the first rule its points break
+    assert err.count("\n") == 1 and err.startswith("error: metric ")
+
+
+def test_verify_memory_does_not_grow_with_samples():
+    """The traced peak of a verify at 4 chunks of points stays within 1.5 times
+    its peak at one chunk: only the sample's coordinates and phi jets grow."""
+    import tracemalloc
+
+    spec, cfg = catalog()[1], AssemblyConfig(3, (1, -1, 1), 0.3, 1.0, 0.5)
+    cli.run_verification(spec, cfg, 50, seed=1, tol=1e-7, oracle=False)  # build the cached plans
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            cli.run_verification(spec, cfg, samples, seed=1, tol=1e-7, oracle=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, four = peak(cli.VERIFY_CHUNK), peak(4 * cli.VERIFY_CHUNK)
+    assert four <= 1.5 * one, (one, four)
 
 
 def test_curvature_overflowing_curvature_exit2_one_line(capsys):
@@ -763,7 +866,8 @@ def test_dumps_rejects_non_finite_floats(value):
 
 
 def test_verify_oracle_builds_two_frames(capsys, monkeypatch):
-    # one frame for the sampled batch, one for all nine stencil offsets of the oracle
+    # one frame per chunk of the sample, and one for all nine stencil offsets of the oracle
+    monkeypatch.setattr(cli, "VERIFY_CHUNK", 16)
     init, shapes = cli.geometry2d.SurfaceFrame.__init__, []
     phi_jet, points = cli.surfaces.SurfaceSpec.phi_jet, []
 
@@ -780,10 +884,10 @@ def test_verify_oracle_builds_two_frames(capsys, monkeypatch):
     code, rep, _ = verify_report(capsys, "--surface", "scherk", "--n", "2", "--eps-blocks=1,-1",
                                  "--samples", "30", "--oracle")
     assert code == 0 and rep["oracle"]["points"] == cli.ORACLE_POINTS
-    assert shapes == [(30,), (3, 3, cli.ORACLE_POINTS)]
-    # phi is evaluated once per candidate, while screening (a chunk holds at
-    # least 32), and once per oracle stencil point: the batch frame reuses the jets
-    assert points == [32, 9 * cli.ORACLE_POINTS]
+    assert shapes == [(16,), (14,), (3, 3, cli.ORACLE_POINTS)]
+    # phi is evaluated once per candidate, while screening (a round takes at
+    # most a chunk), and once per oracle stencil point: the chunks' frames reuse the jets
+    assert points == [16, 16, 9 * cli.ORACLE_POINTS]
 
 
 def test_sampler_redraws_and_counts_skips():

@@ -207,9 +207,8 @@ def dense_assemble_arrays(fr, cfg):
     y-block filled as eps_i * g.  assemble_arrays(...).dense() must
     reproduce it bit for bit."""
     e2 = assembly.conformal_factor_jet(fr, cfg)
-    xblock = [[e2 * fr.g[a][b] for b in range(2)] for a in range(2)]
     out = []
-    for xa, ga in zip(geometry2d.matrix_jets_to_arrays(xblock), fr.g_arrays):
+    for xa, ga in zip(geometry2d.matrix_jets_to_arrays(e2 * fr.g), fr.g_arrays):
         a = np.zeros(xa.shape[:-2] + (cfg.dim, cfg.dim))
         a[..., :2, :2] = xa
         for i, e in enumerate(cfg.eps_blocks):

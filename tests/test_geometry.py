@@ -18,8 +18,11 @@ def frame_at_points(spec, count, seed):
 
 
 def laplace_beltrami(metric, f):
-    """Laplace-Beltrami of f w.r.t. a 2x2 jet metric (value array)."""
-    return geometry2d._laplace_terms(*geometry2d._inverse(metric), f)[0]
+    """Laplace-Beltrami of f w.r.t. a 2x2 jet metric (value array), given as
+    a jet with leading (2, 2) batch axes or as nested rows of jets."""
+    if not isinstance(metric, Jet3):
+        metric = Jet3(np.stack([np.stack([m.c for m in row], axis=1) for row in metric], axis=1))
+    return geometry2d._laplace_terms(*geometry2d._inverse(metric), [f])[0][0]
 
 
 # -------------------------------------------------------------------------
@@ -350,11 +353,8 @@ def test_convention_factor_calibration():
     fr = frame_at_points(scherk(), 25, seed=37)
     _, R = curvature.ricci_arrays(*fr.g_arrays)[:2]
     # deriv of the order-2 g is an order-1 jet; only its values are read
-    dg = np.stack([geometry2d._grab([[jets.deriv(fr.g[m][n], e) for n in range(2)] for m in range(2)], 0, 0)
-                   for e in range(2)], axis=1)
-    dginv = np.stack([geometry2d._grab([[jets.deriv(fr.g_inv[m][n], e) for n in range(2)]
-                                        for m in range(2)], 0, 0)
-                      for e in range(2)], axis=1)
+    dg, dginv = (np.moveaxis(np.stack([jets.deriv(m, e).value for e in range(2)]), (0, 1, 2), (-3, -2, -1))
+                 for m in (fr.g, fr.g_inv))
     trterm = np.einsum("pab,paij,pbji->p", matrix_jets_to_arrays(fr.g_inv)[0], dginv, dg)
     implied = (-0.25 * trterm) / R
     np.testing.assert_allclose(implied, 1.0, rtol=1e-9)
