@@ -164,8 +164,9 @@ def draw_points(spec, cfg, samples, seed):
     """Seeded low-discrepancy sampling over the admissible domain.
 
     Candidates come from a scrambled Halton sequence mapped onto the domain
-    rectangle; skipped ones are replaced by further draws, up to a total of
-    REDRAW_FACTOR * samples candidates.  Returns the accepted coordinates,
+    rectangle and screened in rounds of at most VERIFY_CHUNK; skipped ones
+    are replaced by further draws, up to a total of REDRAW_FACTOR * samples
+    candidates, taken in sequence order.  Returns the accepted coordinates,
     the number of candidates consumed, the per-reason skip counts and the
     order-3 jet of phi at the accepted points, evaluated while screening.
     """
