@@ -173,7 +173,7 @@ def draw_points(spec, cfg, samples, seed):
     halton = _ScrambledHalton(seed)
     x0, x1, y0, y1 = spec.domain
     skips = dict.fromkeys(SKIP_REASONS, 0)
-    xs, ys, cs = [], [], []
+    xs, ys, cs = np.empty(samples), np.empty(samples), np.empty((NSLOTS, samples))
     accepted = 0
     consumed = 0
     budget = REDRAW_FACTOR * samples
@@ -188,13 +188,13 @@ def draw_points(spec, cfg, samples, seed):
         take = min(int(np.searchsorted(np.cumsum(good), samples - accepted)) + 1, chunk)
         consumed += take
         sel = good[:take]
-        xs.append(cx[:take][sel])
-        ys.append(cy[:take][sel])
-        cs.append(c[:, :int(sel.sum())])  # the accepted candidates that were taken
-        accepted += int(sel.sum())
+        new = slice(accepted, accepted + int(sel.sum()))
+        xs[new], ys[new] = cx[:take][sel], cy[:take][sel]
+        cs[:, new] = c[:, :new.stop - new.start]  # the accepted candidates that were taken
+        accepted = new.stop
         for reason in reasons[:take][~sel]:
             skips[reason] += 1
-    return np.concatenate(xs), np.concatenate(ys), consumed, skips, Jet3(np.concatenate(cs, axis=1))
+    return xs[:accepted], ys[:accepted], consumed, skips, Jet3(cs[:, :accepted])
 
 
 def _first_max(best, vals, start):
@@ -215,6 +215,7 @@ def run_verification(spec, cfg, samples, seed, tol, oracle):
     it finishes, so the report does not depend on the chunk size.
     """
     t0 = time.monotonic()
+    _reuse_freed_memory()
     x, y, drawn, skips, phi = draw_points(spec, cfg, samples, seed)
     if x.size == 0:
         raise DomainError("no admissible sample points found within the redraw budget")
@@ -588,7 +589,7 @@ def main(argv=None) -> int:
             # the file's flags go first, so the command line's own win
             args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, MemoryError) as exc:  # MemoryError: a --samples too large to hold
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

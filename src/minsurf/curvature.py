@@ -27,8 +27,8 @@ Index conventions: R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
 the first and third slots.  The round sphere then has positive scalar
 curvature (2/a^2), which the test suite pins.
 
-Only x^1 and x^2 carry derivatives, so the derivative index of d g^{-1},
-d S and d Gamma runs over those two live directions: the term
+Only x^1 and x^2 carry derivatives, so each derivative index, of d g,
+d^2 g, d g^{-1}, d S and d Gamma, runs over those two live directions:
 d_a Gamma^a_{db} sums over a < 2 and -d_d Gamma^a_{ab} fills only the
 columns d < 2.
 
@@ -39,11 +39,12 @@ over term tables instead of dense arrays.  The pattern rule: an entry of
 g^{-1}, d g or d^2 g that is off the diagonal blocks, or zero at every
 point of the batch, counts as zero, and an intermediate (S, Gamma,
 d g^{-1}, d S, d Gamma, each term of R) is structurally zero where each
-of its products has a structurally zero factor.  The tables are built
-with array operations from the three patterns and cached per pattern; a
-tensor's values are a (rows + 1, points) array over its structural
-non-zeros plus a +0 row, read straight from the parts, each entry times
-its block's sign.
+of its products has a structurally zero factor.  A table joins its
+factors' lists of structural non-zeros on their shared indices, so its
+cost grows with those lists, not with dim^4; the tables are cached per
+pattern.  A tensor's values are a (rows + 1, points) array over its
+structural non-zeros plus a +0 row, read straight from the parts, each
+entry times its block's sign.
 
 The summation-order contract: each contraction keeps the subscripts of
 the dense einsum engine it replaces, and its kept products, factors
@@ -163,60 +164,61 @@ def engine_arrays(v, dx, dy, dxx, dyy, dxy):
 # term tables over the structural non-zeros
 # ---------------------------------------------------------------------------
 
-def _lut(pattern):
-    """Row of each structural non-zero of a tensor in its (rows + 1, points)
-    value array, and -1, the trailing +0 row, at every structural zero."""
-    lut = np.full(pattern.shape, -1)
-    lut[pattern] = np.arange(np.count_nonzero(pattern))
-    return lut
+def _key(cols, size, n):
+    """One integer per entry of the n-entry coordinate columns cols, each below size."""
+    return sum((c * size ** i for i, c in enumerate(cols)), np.zeros(n, dtype=np.int64))
 
 
-def _padded(lut, shape):
-    """lut embedded at the start of a larger shape, structurally zero elsewhere."""
-    out = np.full(shape, -1)
-    out[tuple(slice(n) for n in lut.shape)] = lut
-    return out
-
-
-def _combination(*luts):
-    """Layout of an elementwise combination of equal-shape operands, and
-    each operand's value rows at its entries."""
-    pattern = np.logical_or.reduce([lut >= 0 for lut in luts])
-    return _lut(pattern), [lut[pattern] for lut in luts]
+def _products(subs, layouts):
+    """Each letter's coordinates and each factor's rows at the products whose
+    factors are all structurally non-zero: the factors' layouts joined on
+    their shared letters, a repeated letter keeping only diagonal entries."""
+    size = 1 + max(int(layout.max(initial=0)) for layout in layouts)
+    letters, rows = {}, []
+    for sub, layout in zip(subs, layouts):
+        keep = np.flatnonzero((layout == layout[:, [sub.index(ch) for ch in sub]]).all(axis=1))
+        shared = [ch for ch in dict.fromkeys(sub) if ch in letters]
+        lkey = _key([letters[ch] for ch in shared], size, rows[0].size if rows else 1)
+        rkey = _key([layout[keep, sub.index(ch)] for ch in shared], size, keep.size)
+        # every pair of equal keys, read off the sorted right keys
+        order = np.argsort(rkey, kind="stable")
+        lo, hi = np.searchsorted(rkey[order], lkey, "left"), np.searchsorted(rkey[order], lkey, "right")
+        left = np.repeat(np.arange(lkey.size), hi - lo)
+        right = keep[order[np.arange(left.size) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)]]
+        rows = [r[left] for r in rows] + [right]
+        letters = {ch: v[left] for ch, v in letters.items()}
+        letters.update((ch, layout[right, i]) for i, ch in enumerate(sub) if ch not in letters)
+    return letters, rows
 
 
 def _contractions(*terms):
     """Term tables of einsum contractions onto one layout, the union of
     their structural non-zeros.
 
-    A term is (subs, order, *luts): ``np.einsum(subs, ...)`` of factors laid
-    out by luts, ``order`` listing the summed letters, outermost first, in
+    A layout is a tensor's (entries, rank) list of structural non-zeros in
+    the C order of ``np.argwhere``; an entry's position is its value row.  A
+    term is (subs, order, *layouts): ``np.einsum(subs, ...)`` of factors laid
+    out by layouts, ``order`` listing the summed letters, outermost first, in
     the order einsum adds the products.  Returns the output layout and, per
-    term, one (rounds, entries) table of value rows per factor: round r
-    holds the r-th product, among those whose factors are all structurally
-    non-zero, of each output entry, or the +0 row where the entry has fewer.
+    term, one (rounds, entries) table of value rows per factor: round r holds
+    each output entry's r-th product whose factors are all structurally
+    non-zero, or the +0 row where the entry has fewer.
     """
-    masks = []  # one axis per output letter, then one per summed letter in order
-    for subs, order, *luts in terms:
+    joined = []
+    for subs, order, *layouts in terms:
         ins, out = subs.split("->")
-        mask = np.einsum(f"{ins}->{out}{order}", *(lut >= 0 for lut in luts))
-        masks.append((ins.split(","), out + order, mask, luts))
-    k = len(out)  # every term has the same output
-    lut = _lut(np.logical_or.reduce([mask.any(axis=tuple(range(k, mask.ndim))) for *_, mask, _ in masks]))
-    entries = np.count_nonzero(lut >= 0)
+        letters, rows = _products(ins.split(","), layouts)
+        walk = np.lexsort([letters[ch] for ch in (out + order)[::-1]])  # einsum's C-order walk
+        joined.append((np.stack([letters[ch][walk] for ch in out], axis=-1), [r[walk] for r in rows]))
+    layout, slots = np.unique(np.concatenate([c for c, _ in joined]), axis=0, return_inverse=True)
     all_tables = []
-    for subs, letters, mask, luts in masks:
-        idx = np.nonzero(mask)
-        slot = lut[idx[:k]]  # sorted: nonzero walks the output entries outermost
-        rank = np.arange(slot.size) - np.searchsorted(slot, slot)
-        letter = dict(zip(letters, idx))
-        tables = []
-        for sub, factor in zip(subs, luts):
-            table = np.full((rank.max(initial=-1) + 1, entries), -1)
-            table[rank, slot] = factor[tuple(letter[ch] for ch in sub)]
-            tables.append(table)
+    for (_, rows), slot in zip(joined, np.split(slots, np.cumsum([len(c) for c, _ in joined])[:-1])):
+        rank = np.arange(slot.size) - np.searchsorted(slot, slot)  # slot is sorted
+        tables = [np.full((rank.max(initial=-1) + 1, len(layout)), -1) for _ in rows]
+        for table, r in zip(tables, rows):
+            table[rank, slot] = r
         all_tables.append(tables)
-    return lut, all_tables
+    return layout, all_tables
 
 
 class _Plan:
@@ -225,31 +227,28 @@ class _Plan:
 
     def __init__(self, g_pattern, d1_pattern, d2_pattern=None):
         dim = g_pattern.shape[0]
-        g = _lut(g_pattern)
-        d = _padded(_lut(d1_pattern), (dim,) * 3)  # d g in all dim directions
+        g, d = np.argwhere(g_pattern), np.argwhere(d1_pattern)
         self.g_cols, self.d1_cols = np.flatnonzero(g_pattern), np.flatnonzero(d1_pattern)
         # S_{dbc} = d_b g_{dc} + d_c g_{db} - d_d g_{bc}, Gamma^a_{bc} = 1/2 g^{ad} S_{dbc}
-        s, self.s_rows = _combination(d.transpose(1, 0, 2), d.transpose(1, 2, 0), d)
+        s, tables = _contractions(("bdc->dbc", "", d), ("cdb->dbc", "", d), ("dbc->dbc", "", d))
+        self.s_rows = [t.ravel() for t, in tables]  # one round each, none if S is empty
         gamma, [self.gamma] = _contractions(("ad,dbc->abc", "d", g, s))
-        self.gamma_cols = np.flatnonzero(gamma >= 0)
+        self.gamma_cols = np.ravel_multi_index(gamma.T, (dim,) * 3)
         if d2_pattern is None:
             return
-        d2 = _padded(_lut(d2_pattern), (2,) + (dim,) * 3)  # d_e d_f g, f in all dim directions
-        self.d2_cols = np.flatnonzero(d2_pattern)
+        d2, self.d2_cols = np.argwhere(d2_pattern), np.flatnonzero(d2_pattern)
         # d_e g^{-1} = -g^{-1} d_e g g^{-1}; d_e Gamma = 1/2 (d_e g^{-1} S + g^{-1} d_e S)
-        dgi, [self.dgi] = _contractions(("ab,ebc,cd->ead", "bc", g, d[:2], g))
-        ds, self.ds_rows = _combination(d2.transpose(0, 2, 1, 3), d2.transpose(0, 2, 3, 1), d2)
+        dgi, [self.dgi] = _contractions(("ab,ebc,cd->ead", "bc", g, d, g))
+        ds, tables = _contractions(("ebdc->edbc", "", d2), ("ecdb->edbc", "", d2), ("edbc->edbc", "", d2))
+        self.ds_rows = [t.ravel() for t, in tables]
         dgamma, self.dgamma = _contractions(("ead,dbc->eabc", "d", dgi, s),
                                             ("ad,edbc->eabc", "d", g, ds))
         # R_{bd} = d_a Gamma^a_{db} - d_d Gamma^a_{ab} + Gamma^a_{ae} Gamma^e_{db}
-        #          - Gamma^a_{de} Gamma^e_{ab}; d_a vanishes for a >= 2, so with
-        # d Gamma padded to dim directions the first term keeps a < 2 and the
-        # second fills the columns d < 2
-        dgamma = _padded(dgamma, (dim,) * 4)
+        #          - Gamma^a_{de} Gamma^e_{ab}
         ricci, self.ricci = _contractions(("iidb->bd", "i", dgamma), ("diib->bd", "i", dgamma),
                                           ("iie,edb->bd", "ie", gamma, gamma),
                                           ("ide,eib->bd", "ei", gamma, gamma))
-        self.ricci_cols = np.flatnonzero(ricci >= 0)
+        self.ricci_cols = np.ravel_multi_index(ricci.T, (dim, dim))
         # the scalar's row sums g^{bd} R_{bd} over d, one per live b
         _, [self.scalar] = _contractions(("bd,bd->b", "d", g, ricci))
 

@@ -773,6 +773,43 @@ def test_verify_memory_does_not_grow_with_samples():
     assert four <= 1.5 * one, (one, four)
 
 
+def test_verify_samples_too_large_to_hold_exit2_one_line(capsys):
+    # the sampler allocates its arrays up front, so numpy's MemoryError comes
+    # before any work
+    code, out, err = run(capsys, "verify", "--surface", "scherk", "--samples", "10000000000000")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: Unable to allocate")
+
+
+def test_run_verification_reuses_freed_memory():
+    """A library caller gets the CLI's malloc thresholds: in a fresh process,
+    a second direct run_verification call on the verify-deep configuration
+    (5000 points with the oracle) faults in almost no new heap pages, where
+    glibc's defaults take about 10 000 minor faults."""
+    import ctypes
+    import subprocess
+    import sys
+    import textwrap
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        pytest.skip("the C library has no mallopt")
+    script = textwrap.dedent(f"""
+        import resource, sys
+        sys.path.insert(0, {str(README.parent / "src")!r})
+        from minsurf import cli, surfaces
+        from minsurf.assembly import AssemblyConfig
+        spec, cfg = surfaces.get("scherk"), AssemblyConfig(3, (1, -1, 1), 0.3, 1.0, 0.5)
+        cli.run_verification(spec, cfg, 5000, seed=0, tol=1e-7, oracle=True)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        cli.run_verification(spec, cfg, 5000, seed=0, tol=1e-7, oracle=True)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1000
+
+
 def test_curvature_overflowing_curvature_exit2_one_line(capsys):
     # g^{-1} ~ 1e308 overflows the products: one error line, no warnings
     with warnings.catch_warnings():

@@ -263,7 +263,14 @@ def assert_engine_matches_padded(comp, d1, d2):
     assert_bits_equal([curvature.christoffel_arrays(comp, d1)], want[:1])
 
 
-@pytest.mark.parametrize("name,cfg", MIXED_CONFIGS + WIDE_CONFIGS)
+#: n = 5 and 6 (dim 12 and 14), mixed block signs, e0, m1 and n1 all non-zero
+LARGE_N_CONFIGS = [(name, assembly.AssemblyConfig(n, signs, e0, m1, n1))
+                   for name in ("scherk", "catenoid", "bi_wave", "helicoid", "nonminimal_x2")
+                   for n, signs, e0, m1, n1 in [(5, (1, -1, -1, 1, -1), 0.2, 0.5, 0.75),
+                                                (6, (-1, 1, 1, -1, 1, -1), 0.1, 1.0, 1.5)]]
+
+
+@pytest.mark.parametrize("name,cfg", MIXED_CONFIGS + WIDE_CONFIGS + LARGE_N_CONFIGS)
 def test_ricci_arrays_bits_match_padded_reference(name, cfg):
     fr = sampled_frame(name, cfg, 40)
     comp, d1, d2 = assembly.assemble_arrays(fr, cfg)
@@ -356,6 +363,21 @@ def test_bit_check_fails_when_one_summation_order_changes(monkeypatch, fresh_pla
             got = curvature.ricci_arrays(comp, d1, d2)
         with pytest.raises(AssertionError):
             assert_bits_equal(got[output:output + 1], want[output + 1:output + 2])
+
+
+def test_plan_memory_at_n40_stays_small(fresh_plans):
+    # the plan's tables join index lists, so building it at dim 82 needs no
+    # dim^4 lookup or mask (a (dim,)^4 int64 array alone is 0.34 GiB)
+    cfg = assembly.AssemblyConfig(40, (1, -1) * 20, 0.3, 1.0, 0.5)
+    arrays = assembly.assemble_arrays(sampled_frame("scherk", cfg, 4), cfg)
+    tracemalloc.start()
+    try:
+        curvature.ricci_arrays(*arrays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curvature._cached_plan.cache_info().currsize == 1
+    assert peak < 20 * 2 ** 20
 
 
 def test_blocked_ricci_equals_one_block(monkeypatch):
