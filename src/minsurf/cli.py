@@ -14,6 +14,7 @@ for the wall_time_ms field.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -48,43 +49,36 @@ VERIFY_CHUNK = 1024
 # deterministic JSON (fixed key order, 17 significant digits)
 # ---------------------------------------------------------------------------
 
-def _json(obj, out):
-    if obj is None:
-        out.append("null")
-    elif obj is True or obj is False:
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        if not np.isfinite(obj):
-            raise ValueError(f"cannot write the non-finite number {float(obj)} as JSON")
-        out.append(format(float(obj), ".17g"))
-    elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            _json(str(k), out)
-            out.append(": ")
-            _json(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        out.append("[")
-        for i, v in enumerate(list(obj)):
-            if i:
-                out.append(", ")
-            _json(v, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+def _floats(a):
+    """JSON of a non-empty float array: one format pass over its flat list,
+    then the brackets, innermost axis first."""
+    flat = a.ravel()
+    if not np.isfinite(flat).all():
+        raise ValueError(f"cannot write the non-finite number {float(flat[~np.isfinite(flat)][0])} as JSON")
+    items = list(map("{:.17g}".format, flat.tolist()))
+    for size in a.shape[::-1]:
+        items = ["[" + ", ".join(items[i:i + size]) + "]" for i in range(0, len(items), size)]
+    return items[0]
 
 
 def dumps(obj) -> str:
-    out = []
-    _json(obj, out)
-    return "".join(out)
+    def _json(obj):
+        if isinstance(obj, (float, np.floating)):
+            return format(float(obj), ".17g") if math.isfinite(obj) else _floats(np.array(obj))
+        if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.size:
+            return _floats(obj)
+        if isinstance(obj, dict):
+            return "{" + ", ".join(_json(str(k)) + ": " + _json(v) for k, v in obj.items()) + "}"
+        if isinstance(obj, (list, tuple, np.ndarray)):
+            return "[" + ", ".join(map(_json, obj)) + "]"
+        if obj is None or obj is True or obj is False:
+            return {None: "null", True: "true", False: "false"}[obj]
+        if isinstance(obj, (int, np.integer)):
+            return str(int(obj))
+        if isinstance(obj, str):
+            return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+    return _json(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +198,16 @@ def _first_max(best, vals, start):
     return (best, (vals[at], start + at))[int(np.argmax([best[0], vals[at]]))]
 
 
+def _range_error(frame, cfg, x, y, overflow=()):
+    """The error naming the first point of frame, at (x[k], y[k]), where
+    e^(2 Phi) is below the normal floats, else the first k of overflow, or None."""
+    small = np.flatnonzero(np.abs(assembly.conformal_factor_jet(frame, cfg).value) < np.finfo(float).tiny)
+    for what, at in (("the conformal factor e^(2 Phi) underflows", small),
+                     ("the Ricci tensor overflows", overflow)):
+        if len(at):
+            return curvature.SingularMetric(f"{what} at ({x[at[0]]:g}, {y[at[0]]:g}) for n = {cfg.n}")
+
+
 # an overflow shows as an inf or nan, which the singularity rule reports in
 # one line: a grid node of 1e300 overflows rho, the jets and the frame
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -227,16 +231,22 @@ def run_verification(spec, cfg, samples, seed, tol, oracle):
         frame = geometry2d.SurfaceFrame(spec.ambient, Jet3(phi.c[:, start:start + VERIFY_CHUNK]))
         checks = geometry2d.run_identity_checks(frame, CheckConstants())
         comp, d1, d2 = assembly.assemble_arrays(frame, cfg)
-        ric, _, denom = curvature.ricci_arrays(comp, d1, d2)
-        ric_abs = np.abs(ric).max(axis=(-2, -1))
+        try:
+            ric, _, denom = curvature.ricci_arrays(comp, d1, d2)
+        except curvature.SingularMetric as exc:
+            raise _range_error(frame, cfg, x[start:], y[start:]) or exc
+        ric_abs = functools.reduce(np.maximum, [np.abs(p).max(axis=(-2, -1)) for p in ric.parts])
+        ratio = ric_abs / denom
+        if not np.isfinite(ratio).all():  # R or its scale left the float range
+            raise _range_error(frame, cfg, x[start:], y[start:], np.flatnonzero(~np.isfinite(ratio)))
         worst["max_abs"] = _first_max(worst["max_abs"], ric_abs, start)
-        worst["ricci"] = _first_max(worst["ricci"], ric_abs / denom, start)
+        worst["ricci"] = _first_max(worst["ricci"], ratio, start)
         for name, res in checks.items():
             skipped[name] += int(res.valid.size - res.valid.sum())
             worst[name] = _first_max(worst[name], np.where(res.valid, res.normalized, -np.inf), start)
         sigs = assembly.signature_values(comp)
         if start == 0:
-            sig, ric0 = int(sigs[0]), ric[:ORACLE_POINTS].copy()
+            sig, ric0 = int(sigs[0]), curvature.BlockDiagonal([p[:ORACLE_POINTS] for p in ric.parts], ric.layout)
         same_sig &= bool(np.all(sigs == sig))
         del frame, checks, comp, d1, d2, ric, res  # before the next chunk's arrays are built
 
@@ -256,7 +266,7 @@ def run_verification(spec, cfg, samples, seed, tol, oracle):
                 geometry2d.SurfaceFrame(spec.ambient, spec.phi_jet(px, py)), cfg)[0],
             (x[:k], y[:k]), ORACLE_STEP)
         oracle_entry = {"step": ORACLE_STEP, "points": k,
-                        "max_abs_difference": float(np.abs(fd - ric0).max())}
+                        "max_abs_difference": float(np.abs(fd.dense() - ric0.dense()).max())}
 
     max_norm, at = worst["ricci"]
     checks_pass = all(worst[name][0] < IDENTITY_TOL for name in CHECK_NAMES)  # -inf: no valid point
@@ -483,17 +493,18 @@ def cmd_curvature(args) -> int:
     if not np.all(np.isfinite((px, py))):
         raise UsageError(f"--point must be two finite numbers, got {args.point!r}")
     comp, d1, d2 = _parse_metric(args.metric, (np.array([px]), np.array([py])))
-    ric, scalar, denom = (a[0] for a in curvature.ricci_arrays(comp, d1, d2))
+    ricci, scalar, denom = curvature.ricci_arrays(comp, d1, d2)
+    ric = ricci.dense()[0]
     max_abs = float(np.abs(ric).max())
     report = {
         "metric": args.metric,
         "point": [px, py],
         "dim": comp.shape[-1],
-        "christoffel": curvature.christoffel_arrays(comp, d1)[0].tolist(),
-        "ricci": ric.tolist(),
-        "scalar": float(scalar),
+        "christoffel": curvature.christoffel_arrays(comp, d1)[0],
+        "ricci": ric,
+        "scalar": float(scalar[0]),
         "max_abs_ricci": max_abs,
-        "normalized_ricci": max_abs / float(denom),
+        "normalized_ricci": max_abs / float(denom[0]),
     }
     _emit(dumps(report), args.json)
     return 0

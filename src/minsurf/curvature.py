@@ -14,9 +14,15 @@ batched ``np.linalg.inv`` (inv(eps g) = eps inv(g), and a 2 x 2 inverse is
 bit for bit the dense inverse's block), and the singularity rule and the
 signature read one set of ``eigvalsh`` eigenvalues per part, which a
 BlockDiagonal keeps once computed; the rule holds each part to its own
-eigenvalue ratio.  No package caller flattens an assembled metric, the
-``curvature`` command and the oracle's field included, so one rule gives
-every verdict; ``dense()`` is the tests' dim x dim reference.
+eigenvalue ratio.  No package caller flattens an assembled metric, so one
+rule gives every verdict.
+
+R is block diagonal like the metric, so ricci_arrays returns it as a
+BlockDiagonal, one part per diagonal block of comp laid out ((0, 1),
+(1, 1), ...), +0 where an on-block entry is not structural: 4 (n + 1) of
+an assembled metric's dim^2 entries.  ``dense()`` rebuilds the dense R bit
+for bit for the ``curvature`` command, the oracle and the tests.  Gamma
+mixes blocks, so christoffel_arrays stays dense.
 
 ``central_differences`` is the one 9-point stencil of the oracle and the
 solver, ``engine_arrays`` the one (comp, d1, d2) layout of a metric's
@@ -64,7 +70,8 @@ The finite-input requirement: a skipped product is only zero when its
 other factors are finite (0 * inf is nan), so d g and d^2 g must be
 finite; christoffel_arrays and ricci_arrays raise SingularMetric when
 they are not.  ricci_arrays works through a batch in blocks of
-block_points(dim) points, so its temporaries do not grow with the batch.
+block_points(dim) = max(128, 2048 // dim) points, so its temporaries do
+not grow with the batch.
 """
 
 from __future__ import annotations
@@ -87,18 +94,11 @@ class SingularMetric(ValueError):
 #: 1.5e-4 (bi_wave), keeps a factor of 1.5e6 above it
 SINGULAR_RCOND = 1e-10
 
-#: points per block of the batched Ricci computation at dim 8.  A block's
-#: value arrays hold about 20 dim rows (the 160 entries of d Gamma at dim
-#: 8), so 256 points keep each near 330 KiB and in the heap: a 5000-point
-#: dim-8 call takes no minor faults from its third call on, where 512 and
-#: 1024 take 1.6k and 12k
-RICCI_BLOCK = 256
-
-
 def block_points(dim):
-    """Block size at dim: the (rows, block) value arrays, rows growing as dim,
-    keep their dim-8 size."""
-    return max(1, RICCI_BLOCK * 8 // dim)
+    """Points per block of the batched Ricci computation: about 2048 / dim, so
+    the value arrays (about 20 dim rows) keep their dim-8 size, but at least
+    128, since ``_sum`` makes about dim^2 numpy calls per block at large dim."""
+    return max(128, 2048 // dim)
 
 
 class BlockDiagonal:
@@ -223,9 +223,10 @@ def _contractions(*terms):
 
 class _Plan:
     """Term tables of the Christoffel symbols and, given the pattern of
-    d^2 g, of the Ricci tensor, for one pattern of (g^{-1}, d g, d^2 g)."""
+    d^2 g, of the Ricci tensor, for one pattern of (g^{-1}, d g, d^2 g) and
+    the diagonal block sizes of comp."""
 
-    def __init__(self, g_pattern, d1_pattern, d2_pattern=None):
+    def __init__(self, sizes, g_pattern, d1_pattern, d2_pattern=None):
         dim = g_pattern.shape[0]
         g, d = np.argwhere(g_pattern), np.argwhere(d1_pattern)
         self.g_cols, self.d1_cols = np.flatnonzero(g_pattern), np.flatnonzero(d1_pattern)
@@ -248,15 +249,22 @@ class _Plan:
         ricci, self.ricci = _contractions(("iidb->bd", "i", dgamma), ("diib->bd", "i", dgamma),
                                           ("iie,edb->bd", "ie", gamma, gamma),
                                           ("ide,eib->bd", "ei", gamma, gamma))
-        self.ricci_cols = np.ravel_multi_index(ricci.T, (dim, dim))
+        # the value row of each on-block entry of R, block by block, or the +0 row
+        self.sizes, self.out_layout = sizes, tuple((j, 1) for j in range(len(sizes)))
+        part_col = _columns((dim, dim), sizes, self.out_layout)[0][np.ravel_multi_index(ricci.T, (dim, dim))]
+        if not (part_col >= 0).all():  # d g or d^2 g couples two of comp's blocks
+            raise ValueError("R has a structural non-zero off comp's diagonal blocks")
+        self.ricci_rows = np.full(sum(k * k for k in sizes), len(ricci))
+        self.ricci_rows[part_col] = np.arange(len(ricci))
         # the scalar's row sums g^{bd} R_{bd} over d, one per live b
         _, [self.scalar] = _contractions(("bd,bd->b", "d", g, ricci))
 
 
 @functools.lru_cache(maxsize=64)
-def _cached_plan(dim, *keys):
+def _cached_plan(sizes, *keys):
+    dim = sum(sizes)
     shapes = [(dim, dim), (2, dim, dim), (2, 2, dim, dim)]
-    return _Plan(*(np.frombuffer(k, dtype=bool).reshape(s) for k, s in zip(keys, shapes)))
+    return _Plan(sizes, *(np.frombuffer(k, dtype=bool).reshape(s) for k, s in zip(keys, shapes)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -264,17 +272,13 @@ def _columns(shape, sizes, layout):
     """Column of each entry of the dense shape (..., dim, dim) among the
     concatenated entries of parts of sizes k x k laid out by layout, and the
     entry's sign; -1 and 0 off the blocks.  Both flattened."""
-    extra = math.prod(shape[:-2])
-    offsets = np.cumsum((0,) + tuple(extra * k * k for k in sizes))
-    col, sign = np.full(shape, -1), np.zeros(shape)
-    start = 0
-    for i, s in layout:
-        span = (..., slice(start, start + sizes[i]), slice(start, start + sizes[i]))
-        col[span] = np.arange(offsets[i], offsets[i + 1]).reshape(shape[:-2] + (sizes[i],) * 2)
-        sign[span] = s
-        start += sizes[i]
+    counts = [math.prod(shape[:-2]) * k * k for k in sizes]
+    # each part holds its columns + 1, so the dense form holds sign * (column + 1)
+    signed = BlockDiagonal([np.arange(end - count, end).reshape(shape[:-2] + (k, k)) + 1.0
+                            for k, count, end in zip(sizes, counts, np.cumsum(counts))], layout).dense().ravel()
+    col, sign = np.abs(signed).astype(int) - 1, np.sign(signed)
     col.flags.writeable = sign.flags.writeable = False  # shared by every caller
-    return col.ravel(), sign.ravel()
+    return col, sign
 
 
 class _Operand:
@@ -294,9 +298,7 @@ class _Operand:
     def values(self, blk, cols):
         """(len(cols) + 1, points) value array of the dense entries cols at
         the points blk, with the trailing +0 row."""
-        flats = [f[blk] for f in self.flats]
-        flat = flats[0] if len(flats) == 1 else np.concatenate(flats, axis=1)
-        rows = flat[:, self.col[cols]].T
+        rows = np.concatenate([f[blk] for f in self.flats], axis=1)[:, self.col[cols]].T
         out = np.zeros((cols.size + 1, rows.shape[1]))
         np.multiply(rows, self.sign[cols, None], out=out[:-1])
         return out
@@ -317,7 +319,8 @@ def _prepared(comp, *derivatives):
     gi = BlockDiagonal([np.linalg.inv(p).reshape((math.prod(lead),) + p.shape[-2:]) for p in comp.parts],
                        comp.layout)
     ops = [_Operand(gi, 1)] + [_Operand(d, len(lead)) for d in derivatives]
-    plan = _cached_plan(comp.shape[-1], *(op.pattern.tobytes() for op in ops))
+    sizes = tuple(comp.parts[i].shape[-1] for i, _ in comp.layout)
+    plan = _cached_plan(sizes, *(op.pattern.tobytes() for op in ops))
     return lead, plan, ops
 
 
@@ -363,21 +366,16 @@ def christoffel_arrays(comp, d1):
     return out.reshape(lead + (dim, dim, dim))
 
 
-def _dgamma_values(plan, g, s, d1, d2):
-    """Value array of d_e Gamma^a_{bc} = 1/2 (d_e g^{ad} S_{dbc} + g^{ad} d_e S_{dbc})."""
+def _ricci_block(plan, ops, blk):
+    """ricci_arrays on the points blk of the flattened batch."""
+    g, d1, d2 = (op.values(blk, cols) for op, cols in zip(ops, (plan.g_cols, plan.d1_cols, plan.d2_cols)))
+    s, gamma = _christoffel_values(plan, g, d1)
+    # d_e Gamma^a_{bc} = 1/2 (d_e g^{ad} S_{dbc} + g^{ad} d_e S_{dbc})
     dgi = _sum(plan.dgi, g, d1, g)
     np.negative(dgi[:-1], out=dgi[:-1])
     dgamma = _sum(plan.dgamma[0], dgi, s)
     dgamma += _sum(plan.dgamma[1], g, _combined(d2, plan.ds_rows))
     dgamma *= 0.5
-    return dgamma
-
-
-def _ricci_block(plan, ops, blk):
-    """ricci_arrays on the points blk of the flattened batch."""
-    g, d1, d2 = (op.values(blk, cols) for op, cols in zip(ops, (plan.g_cols, plan.d1_cols, plan.d2_cols)))
-    s, gamma = _christoffel_values(plan, g, d1)
-    dgamma = _dgamma_values(plan, g, s, d1, d2)
     div_a, div_d, e1, e2 = plan.ricci
     ricci = _sum(div_a, dgamma)
     ricci -= _sum(div_d, dgamma)
@@ -385,7 +383,7 @@ def _ricci_block(plan, ops, blk):
     ricci -= _sum(e2, gamma, gamma)
     scalar = sum(_sum(plan.scalar, g, ricci)[:-1], np.zeros(g.shape[1]))  # the rows in increasing b
     denom = 1.0 + np.abs(d2).max(axis=0) + np.abs(gamma).max(axis=0) ** 2
-    return ricci[:-1].T, scalar, denom
+    return ricci[plan.ricci_rows].T, scalar, denom
 
 
 def ricci_arrays(comp, d1, d2):
@@ -393,21 +391,23 @@ def ricci_arrays(comp, d1, d2):
 
     comp is (..., dim, dim), d1 (..., 2, dim, dim) and d2 (..., 2, 2, dim, dim),
     as arrays or as BlockDiagonal parts with one layout.  Returns (ricci,
-    scalar, denom) where denom is the conditioning scale 1 + max|d2 g| +
-    max|Gamma|^2 used for normalized residuals; Gamma itself comes from
-    christoffel_arrays.
+    scalar, denom): ricci is a BlockDiagonal, one (..., k, k) part per
+    diagonal block of comp, and denom is the conditioning scale 1 +
+    max|d2 g| + max|Gamma|^2 used for normalized residuals; Gamma itself
+    comes from christoffel_arrays.
     """
     lead, plan, ops = _prepared(comp, d1, d2)
-    dim = comp.shape[-1]
-    P, step = math.prod(lead), block_points(dim)
-    ricci, scalar, denom = np.zeros((P, dim * dim)), np.empty(P), np.empty(P)
+    P, step = math.prod(lead), block_points(sum(plan.sizes))
+    ricci, scalar, denom = np.empty((P, plan.ricci_rows.size)), np.empty(P), np.empty(P)
     # like the einsum calls they replace, the sums raise no floating-point
     # warnings: an overflow shows as an inf or nan in the result
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, P, step):
             blk = slice(start, start + step)
-            ricci[blk, plan.ricci_cols], scalar[blk], denom[blk] = _ricci_block(plan, ops, blk)
-    return ricci.reshape(lead + (dim, dim)), scalar.reshape(lead), denom.reshape(lead)
+            ricci[blk], scalar[blk], denom[blk] = _ricci_block(plan, ops, blk)
+    ends = np.cumsum([k * k for k in plan.sizes])
+    parts = [ricci[:, end - k * k:end].reshape(lead + (k, k)) for k, end in zip(plan.sizes, ends)]
+    return BlockDiagonal(parts, plan.out_layout), scalar.reshape(lead), denom.reshape(lead)
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,7 @@ def run_identity_checks(fr: SurfaceFrame, consts: CheckConstants) -> dict:
     eps, g0, D = amb.eps, amb.g0, amb.det
     rho, sr = fr.rho.value, fr.sr.value
     hess, lambda0, K, r = fr.hess, fr.lambda0, fr.K, fr.r
-    R_ab, R, _ = ricci_arrays(*fr.g_arrays)  # the conformal metric's Ricci tensor and scalar
+    R_ab, R, _ = ricci_arrays(*fr.g_arrays)  # the conformal metric's Ricci tensor, one part, and scalar
     s, ginv = fr.sqrt_det_g, fr.g_inv  # the conformal metric g, for every Laplacian
     checks = {}
 
@@ -261,7 +261,7 @@ def run_identity_checks(fr: SurfaceFrame, consts: CheckConstants) -> dict:
     checks["P3a"] = BatchCheck.dense(R + trterm, _abs_max(R, trterm))
 
     # P3b: R_ab = -((rho-1)/2) r_ab
-    checks["P3b"] = _tensor_check(R_ab, 0.5 * (rho - 1.0)[..., None, None] * r)
+    checks["P3b"] = _tensor_check(R_ab.parts[0], 0.5 * (rho - 1.0)[..., None, None] * r)
 
     # P4b and the psi1 branch of CC1 need xi1, xi2 > 0; P4c, MU and the mu
     # branch need w1, w2 > 0 (Lorentzian ambients can violate either).

@@ -106,9 +106,6 @@ class Jet3:
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet3) else -np.asarray(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return Jet3(-self.c)
 
@@ -125,18 +122,10 @@ class Jet3:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Jet3):
-            return self * powr(other, -1)
-        return Jet3(self.c / np.asarray(other))
+        return self * powr(other, -1)
 
     def __rtruediv__(self, other):
         return powr(self, -1) * other
-
-    def __pow__(self, p):
-        return powr(self, p)
-
-    def __repr__(self):
-        return f"Jet3({self.c!r})"
 
 
 def deriv(a: Jet3, axis) -> Jet3:

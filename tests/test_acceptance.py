@@ -63,7 +63,7 @@ def test_criterion_1_ricci_flat_construction():
                 for cfg in sweep_configs(n):
                     comp, d1, d2 = assembly.assemble_arrays(fr, cfg)
                     ric, _, denom = curvature.ricci_arrays(comp, d1, d2)
-                    resid = (np.abs(ric).max(axis=(-2, -1)) / denom).max()
+                    resid = (np.abs(ric.dense()).max(axis=(-2, -1)) / denom).max()
                     assert resid < RICCI_TOL, (name, cfg, resid)
                     worst = max(worst, resid)
                     combos += 1
@@ -84,7 +84,7 @@ def test_criterion_2_negative_control():
         fr = SurfaceFrame(spec.ambient, phi)
         comp, d1, d2 = assembly.assemble_arrays(fr, cfg)
         ric, _, denom = curvature.ricci_arrays(comp, d1, d2)
-        assert (np.abs(ric).max(axis=(-2, -1)) / denom).max() > 1e-2
+        assert (np.abs(ric.dense()).max(axis=(-2, -1)) / denom).max() > 1e-2
         checks = run_identity_checks(fr, CheckConstants())
         assert checks["P5"].normalized.max() > 1e-3
 
@@ -120,9 +120,9 @@ def test_criterion_4_oracle_agreement():
             return assembly.assemble_arrays(frame_at(spec, (px, py)), cfg)[0].dense()
 
         for p in interior_points(spec, 3, seed=SEED, shrink=0.25):
-            jet_ric = curvature.ricci_arrays(*assembly.assemble_arrays(frame_at(spec, p), cfg))[0][0]
-            d_coarse = np.abs(curvature.ricci_fd(field, p, 1e-3) - jet_ric).max()
-            d_fine = np.abs(curvature.ricci_fd(field, p, 5e-4) - jet_ric).max()
+            jet_ric = curvature.ricci_arrays(*assembly.assemble_arrays(frame_at(spec, p), cfg))[0].dense()[0]
+            d_coarse = np.abs(curvature.ricci_fd(field, p, 1e-3).dense() - jet_ric).max()
+            d_fine = np.abs(curvature.ricci_fd(field, p, 5e-4).dense() - jet_ric).max()
             assert d_coarse < 1e-4, p
             assert 3.5 <= d_coarse / d_fine <= 4.5, p
 
@@ -134,8 +134,8 @@ def test_criterion_5_curvature_engine_calibration():
         for a in (0.5, 1.0, 2.0):
             scalar = curvature.ricci_arrays(*curvature.sphere_metric((1.0, 0.7), a=a))[1]
             assert abs(scalar - 2.0 / a ** 2) <= 1e-10 * (2.0 / a ** 2)
-        assert np.abs(curvature.ricci_arrays(*curvature.flat_metric((0.0, 0.0)))[0]).max() < 1e-12
-        assert np.abs(curvature.ricci_arrays(*curvature.polar_metric((1.3, 0.2)))[0]).max() < 1e-12
+        assert np.abs(curvature.ricci_arrays(*curvature.flat_metric((0.0, 0.0)))[0].dense()).max() < 1e-12
+        assert np.abs(curvature.ricci_arrays(*curvature.polar_metric((1.3, 0.2)))[0].dense()).max() < 1e-12
 
 
 def test_criterion_6_signature_formula():
@@ -175,7 +175,7 @@ def test_criterion_7_solver_convergence():
             sol = solver.solve_minimal(scherk_fn, surfaces.EUCLIDEAN, grid=(n, n))
             fr = frame_at(solver.as_surface(sol), (0.3, 0.2))
             ric, _, denom = curvature.ricci_arrays(*assembly.assemble_arrays(fr, cfg))
-            resid[n] = np.abs(ric).max() / denom[0]
+            resid[n] = np.abs(ric.dense()).max() / denom[0]
         assert resid[65] / resid[129] > 2.0
 
 

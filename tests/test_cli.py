@@ -874,6 +874,8 @@ def test_curvature_invalid_specs(capsys):
                         for opt in ("n=2,", ",n=2", ""))):
         code, out, err = run(capsys, "curvature", "--metric", f"assembled:scherk,{opt}", "--point", "0.3,0.2")
         assert (code, out, err) == (2, "", f"error: {what}\n")
+    code, out, err = run(capsys, "curvature", "--metric", "assembled:,n=2", "--point", "0.3,0.2")
+    assert (code, out, err) == (2, "", "error: bad assembled metric spec 'assembled:,n=2'\n")
 
 
 @pytest.mark.parametrize("point", ["inf,0", "0,-inf", "nan,0.5"])
@@ -894,12 +896,20 @@ def test_dumps_formatting():
     assert dumps({"a": 1, "b": None, "c": True}) == '{"a": 1, "b": null, "c": true}'
     assert dumps(0.1) == "0.10000000000000001"  # 17 significant digits
     assert dumps([1.0, "x\"y"]) == '[1, "x\\"y"]'
+    # a float array is one flat pass, with the bytes of its nested lists
+    a = np.array([[[0.1, -0.0], [1e300, 2.0]], [[-1.5e-300, 3.0], [7.0, 1 / 3]]])
+    assert dumps({"a": a}) == dumps({"a": a.tolist()}) == (
+        '{"a": [[[0.10000000000000001, -0], [1.0000000000000001e+300, 2]], '
+        '[[-1.5000000000000001e-300, 3], [7, 0.33333333333333331]]]}')
+    assert dumps(np.array(2.5)) == "2.5" and dumps(np.zeros((2, 0))) == "[[], []]"
 
 
 @pytest.mark.parametrize("value", [float("inf"), -np.inf, float("nan"), np.float64("nan")])
 def test_dumps_rejects_non_finite_floats(value):
     with pytest.raises(ValueError, match="non-finite"):
         dumps({"point": [value, 0.0]})
+    with pytest.raises(ValueError, match=f"the non-finite number {float(value)} as JSON"):
+        dumps({"ricci": np.array([[1.0, 2.0], [value, -np.inf]])})  # the first in C order
 
 
 def test_verify_oracle_builds_two_frames(capsys, monkeypatch):
@@ -973,3 +983,30 @@ def test_sampler_log_domain_exhaustion(capsys):
     assert code == 2
     assert out == ""
     assert "no admissible sample points" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--surface", "scherk", "--n", "200", "--samples", "200"),
+     "the conformal factor e^(2 Phi) underflows at (0.242846, -1.46015) for n = 200"),
+    # e^(2 Phi) is subnormal there, so the x-block's inverse, and then R, overflow
+    (("--surface", "bi_wave", "--n", "200"),
+     "the conformal factor e^(2 Phi) underflows at (1.26537, 1.2707) for n = 200")])
+def test_verify_past_the_float_range_names_point_and_n(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_verify_ricci_overflow_names_point_and_n(capsys, monkeypatch):
+    # an R that overflows while e^(2 Phi) is in range is named as such
+    engine = cli.curvature.ricci_arrays
+
+    def overflowing(comp, d1, d2):
+        ricci, scalar, denom = engine(comp, d1, d2)
+        ricci.parts[1][3, 0, 0] = np.inf
+        return ricci, scalar, denom
+
+    monkeypatch.setattr(cli.curvature, "ricci_arrays", overflowing)
+    code, rep, err = verify_report(capsys, "--surface", "scherk", "--n", "2", "--samples", "20")
+    x, y = cli.draw_points(cli.surfaces.get("scherk"), AssemblyConfig(2, (1, 1)), 20, 42)[:2]
+    assert code == 2 and rep is None
+    assert err == f"error: the Ricci tensor overflows at ({x[3]:g}, {y[3]:g}) for n = 2\n"

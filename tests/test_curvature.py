@@ -25,7 +25,7 @@ def test_flat_metric_zero_curvature():
     comp, d1, d2 = flat_metric((0.0, 0.0), signs=(1, 1, -1, 1))
     ric, scalar, _ = ricci_arrays(comp, d1, d2)
     assert np.abs(christoffel_arrays(comp, d1)).max() == 0.0
-    assert np.abs(ric).max() == 0.0
+    assert np.abs(ric.dense()).max() == 0.0
     assert scalar == 0.0
 
 
@@ -37,7 +37,7 @@ def test_polar_metric_textbook_christoffel():
     expected[0, 1, 1] = -x        # Gamma^1_{22} = -x
     expected[1, 0, 1] = expected[1, 1, 0] = 1.0 / x  # Gamma^2_{12} = 1/x
     np.testing.assert_allclose(gam, expected, atol=1e-15)
-    assert np.abs(ricci_arrays(comp, d1, d2)[0]).max() < 1e-12
+    assert np.abs(ricci_arrays(comp, d1, d2)[0].dense()).max() < 1e-12
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
@@ -45,7 +45,7 @@ def test_sphere_ricci_and_scalar(a):
     comp, d1, d2 = sphere_metric((1.0, 0.4), a=a)
     ric, scalar, _ = ricci_arrays(comp, d1, d2)
     # textbook: Ricci = metric / a^2, scalar = 2 / a^2
-    np.testing.assert_allclose(ric, comp / a ** 2, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(ric.dense(), comp / a ** 2, rtol=1e-12, atol=1e-14)
     assert scalar == pytest.approx(2.0 / a ** 2, rel=1e-12)
 
 
@@ -64,33 +64,34 @@ def test_ricci_report_symmetry_and_normalization():
     spec = surfaces.catenoid()
     cfg = assembly.AssemblyConfig(3, (1, 1, -1), 0.3, 1.0, 0.5)
     ric, _, denom = ricci_arrays(*assembled(spec, cfg, (1.6, 0.2)))
+    ric = ric.dense()
     np.testing.assert_allclose(ric, ric.T, atol=1e-12)
     max_abs = np.abs(ric).max()
     assert max_abs / denom <= max_abs
 
 
 def test_ricci_fd_richardson_on_sphere():
-    exact = ricci_arrays(*sphere_metric((1.1, 0.2), a=1.3))[0]
+    exact = ricci_arrays(*sphere_metric((1.1, 0.2), a=1.3))[0].dense()
 
     def field(x, y):  # the oracle passes a (3, 3) batch
         return sphere_metric((x, y), a=1.3)[0]
 
-    e1 = np.abs(ricci_fd(field, (1.1, 0.2), 1e-3) - exact).max()
-    e2 = np.abs(ricci_fd(field, (1.1, 0.2), 5e-4) - exact).max()
+    e1 = np.abs(ricci_fd(field, (1.1, 0.2), 1e-3).dense() - exact).max()
+    e2 = np.abs(ricci_fd(field, (1.1, 0.2), 5e-4).dense() - exact).max()
     assert 3.5 <= e1 / e2 <= 4.5
 
 
 def test_ricci_fd_flat_below_step_squared():
     step = 1e-3
     fd = ricci_fd(lambda x, y: np.broadcast_to(np.eye(4), np.shape(x) + (4, 4)), (0.0, 0.0), step)
-    assert np.abs(fd).max() < step ** 2
+    assert np.abs(fd.dense()).max() < step ** 2
 
 
 def test_ricci_fd_scherk_instanton():
     spec = surfaces.scherk()
     cfg = assembly.AssemblyConfig(1, (1,), 0.0, 0.0, 0.0)
     fd = ricci_fd(assembled_field(spec, cfg), (0.3, 0.2), 1e-3)
-    assert np.abs(fd).max() < 1e-4  # exact flatness + O(step^2) truncation budget
+    assert np.abs(fd.dense()).max() < 1e-4  # exact flatness + O(step^2) truncation budget
 
 
 def test_contracted_bianchi_diagnostic():
@@ -104,7 +105,7 @@ def test_contracted_bianchi_diagnostic():
     def einstein(x, y):
         comp, d1, d2 = assembled(spec, cfg, (x, y))
         ric, scalar, _ = ricci_arrays(comp, d1, d2)
-        return ric - 0.5 * scalar * comp
+        return ric.dense() - 0.5 * scalar * comp
 
     comp0, d1_0, _ = assembled(spec, cfg, p)
     gi = np.linalg.inv(comp0)
@@ -143,7 +144,7 @@ def test_singularity_rule_is_scale_free(scale):
     comp, d1, d2 = flat_metric((0.0, 0.0), signs=(1, 1, -1, 1, 1, 1, -1, 1))
     comp = scale * comp
     ric, scalar, _ = ricci_arrays(comp, d1, d2)
-    assert np.abs(ric).max() == 0.0 and scalar == 0.0
+    assert np.abs(ric.dense()).max() == 0.0 and scalar == 0.0
     assert assembly.signature_values(comp) == 4
     # rank-deficient at the same scale: one y-block repeats the x-block's first row
     rank3 = scale * np.array([[1.0, 2.0, 0.0, 0.0], [2.0, 4.0, 0.0, 0.0],
@@ -223,6 +224,16 @@ def each_part(fn, a):
     return curvature.BlockDiagonal([fn(p) for p in a.parts], a.layout)
 
 
+def dense_ricci(comp, d1, d2):
+    """ricci_arrays with R as its dense array, after checking R's form: one
+    part per diagonal block of comp, laid out ((0, 1), (1, 1), ...)."""
+    ricci, scalar, denom = curvature.ricci_arrays(comp, d1, d2)
+    comp = curvature.as_blocks(comp)
+    assert [p.shape[-1] for p in ricci.parts] == [comp.parts[i].shape[-1] for i, _ in comp.layout]
+    assert ricci.layout == tuple((j, 1) for j in range(len(comp.layout)))
+    return ricci.dense(), scalar, denom
+
+
 def assert_bits_equal(got, want):
     """Equal as int64 views: every bit, signed zeros and nan payloads included."""
     assert len(got) == len(want)
@@ -259,7 +270,7 @@ WIDE_CONFIGS = [(name, cfg) for name in ("scherk", "catenoid", "bi_wave", "helic
 
 def assert_engine_matches_padded(comp, d1, d2):
     want = padded_ricci(*(curvature.as_blocks(a).dense() for a in (comp, d1, d2)))
-    assert_bits_equal(curvature.ricci_arrays(comp, d1, d2), want[1:])
+    assert_bits_equal(dense_ricci(comp, d1, d2), want[1:])
     assert_bits_equal([curvature.christoffel_arrays(comp, d1)], want[:1])
 
 
@@ -293,9 +304,9 @@ def test_block_form_matches_dense_form_bit_for_bit(name, cfg):
     blocks = assembly.assemble_arrays(fr, cfg)
     dense = dense_assemble_arrays(fr, cfg)
     assert_bits_equal([a.dense() for a in blocks], dense)
-    got = (*curvature.ricci_arrays(*blocks), curvature.christoffel_arrays(*blocks[:2]),
+    got = (*dense_ricci(*blocks), curvature.christoffel_arrays(*blocks[:2]),
            assembly.signature_values(blocks[0]))
-    want = (*curvature.ricci_arrays(*dense), curvature.christoffel_arrays(*dense[:2]),
+    want = (*dense_ricci(*dense), curvature.christoffel_arrays(*dense[:2]),
             assembly.signature_values(dense[0]))
     assert_bits_equal(got, want)
 
@@ -360,7 +371,7 @@ def test_bit_check_fails_when_one_summation_order_changes(monkeypatch, fresh_pla
         with monkeypatch.context() as m:
             m.setattr(curvature, "_contractions", mutant)
             curvature._cached_plan.cache_clear()
-            got = curvature.ricci_arrays(comp, d1, d2)
+            got = dense_ricci(comp, d1, d2)
         with pytest.raises(AssertionError):
             assert_bits_equal(got[output:output + 1], want[output + 1:output + 2])
 
@@ -390,15 +401,16 @@ def test_blocked_ricci_equals_one_block(monkeypatch):
         tiled = [each_part(lambda p: np.resize(p, (2 * block + 5,) + p.shape[1:]), a) for a in arrays]
         for P in (1, block, block + 1, 2 * block + 5):
             comp, d1, d2 = (each_part(lambda p: p[:P], a) for a in tiled)
-            blocked = curvature.ricci_arrays(comp, d1, d2)
+            blocked = dense_ricci(comp, d1, d2)
             with monkeypatch.context() as m:
                 m.setattr(curvature, "block_points", lambda dim: P)
-                assert_bits_equal(blocked, curvature.ricci_arrays(comp, d1, d2))
+                assert_bits_equal(blocked, dense_ricci(comp, d1, d2))
 
 
 def test_ricci_arrays_memory_grows_with_its_output_only():
     # the per-block temporaries are bounded by block_points; past them the
-    # peak should grow by the returned arrays, not by a (P, dim, dim, dim) one
+    # peak should grow by the returned arrays, R's 2x2 blocks, the scalar and
+    # denom, and by g^{-1}'s parts, not by a (P, dim, dim) R
     cfg = assembly.AssemblyConfig(3, (1, -1, 1), 0.3, 1.0, 0.5)
     arrays = assembly.assemble_arrays(sampled_frame("scherk", cfg, 40), cfg)
     peaks = []
@@ -410,18 +422,19 @@ def test_ricci_arrays_memory_grows_with_its_output_only():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] - peaks[0] <= 2 * 4096 * cfg.dim ** 2 * 8
+    assert peaks[1] - peaks[0] <= 2 * 4096 * (4 * (cfg.n + 1) + 2) * 8
 
 
 def test_block_points_bound_the_per_block_temporaries():
-    # a block's value arrays hold about 20 dim rows, so block_points(dim) * dim
-    # keeps its dim-8 size; the dense (block, dim, dim) arrays add a little
-    assert curvature.block_points(8) == curvature.RICCI_BLOCK
-    for dim in (2, 4, 6, 14):
-        size = curvature.block_points(dim) * dim
-        assert curvature.RICCI_BLOCK * 8 - dim < size <= curvature.RICCI_BLOCK * 8
+    # a block holds about 2048 / dim points, so its value arrays (about 20 dim
+    # rows each) keep their size up to dim 16; past it a block stays at 128
+    # points, because _sum makes one numpy call per table round, so the
+    # per-block temporaries grow at most linearly in dim
+    for dim in (2, 4, 6, 8, 14, 16):
+        assert 2048 - dim < curvature.block_points(dim) * dim <= 2048
+    assert [curvature.block_points(dim) for dim in (18, 62, 202)] == [128] * 3
     temporaries = {}
-    for n in (1, 3, 6):
+    for n in (1, 3, 6, 20):
         cfg = assembly.AssemblyConfig(n, (1, -1) * (n // 2) + (1,) * (n % 2), 0.3, 1.0, 0.5)
         arrays = assembly.assemble_arrays(sampled_frame("scherk", cfg, 40), cfg)
         P = curvature.block_points(cfg.dim)
@@ -433,8 +446,34 @@ def test_block_points_bound_the_per_block_temporaries():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        temporaries[cfg.dim] = peak - P * (cfg.dim ** 2 + 2) * 8  # less the returned arrays
-    assert max(temporaries.values()) <= 1.5 * temporaries[8]
+        temporaries[cfg.dim] = peak - P * (4 * (n + 1) + 2) * 8  # less the returned arrays
+    for dim, size in temporaries.items():
+        assert size <= 1.5 * temporaries[8] * max(1.0, dim / 8), (dim, temporaries)
+
+
+def test_ricci_arrays_at_n100_holds_no_dense_ricci():
+    """One verify chunk of 1024 points at n = 100 (dim 202): the dense R alone
+    would be 319 MiB; its 101 2x2 blocks and the block temporaries are not."""
+    cfg = assembly.AssemblyConfig(100, (1,) * 100)
+    arrays = assembly.assemble_arrays(sampled_frame("scherk", cfg, cli.VERIFY_CHUNK), cfg)
+    tracemalloc.start()
+    try:
+        ricci = curvature.ricci_arrays(*arrays)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ricci.parts) == 101 and ricci.shape == (cli.VERIFY_CHUNK, 202, 202)
+    assert peak < 80 * 2 ** 20
+
+
+def test_ricci_off_the_blocks_is_refused(fresh_plans):
+    # a d^2 g that couples two of comp's blocks makes R do so too: the plan
+    # refuses it rather than drop those entries
+    _, d1, d2 = flat_metric((0.0, 0.0), signs=(1, 1, 1, 1))
+    comp = curvature.BlockDiagonal([np.eye(2)], ((0, 1), (0, 1)))
+    d2[0, 0, 1, 2] = d2[0, 0, 2, 1] = 0.1
+    with pytest.raises(ValueError, match="off comp's diagonal blocks"):
+        curvature.ricci_arrays(comp, d1, d2)
 
 
 #: the verify-deep configuration, and two surfaces whose off-diagonal jets
@@ -460,15 +499,15 @@ def test_batched_ricci_fd_equals_pointwise_loop():
             calls.append((px, py))
             return field(px, py)
 
-        batched = ricci_fd(counted, (x, y), cli.ORACLE_STEP)
+        batched = ricci_fd(counted, (x, y), cli.ORACLE_STEP).dense()
         assert [np.shape(px) for px, _ in calls] == [(3, 3, 10)]  # one evaluation, all nine offsets
         X, Y = calls[0]
         for i, j in itertools.product((-1, 0, 1), repeat=2):  # the stencil point (x + i step, y + j step)
             assert_bits_equal([X[i + 1, j + 1], Y[i + 1, j + 1]],
                               [x + i * cli.ORACLE_STEP, y + j * cli.ORACLE_STEP])
-        loop = [ricci_fd(field, (x[k], y[k]), cli.ORACLE_STEP) for k in range(x.size)]
+        loop = [ricci_fd(field, (x[k], y[k]), cli.ORACLE_STEP).dense() for k in range(x.size)]
         assert_bits_equal([batched], [np.array(loop)])
-        grid = ricci_fd(field, (x.reshape(2, 5), y.reshape(2, 5)), cli.ORACLE_STEP)
+        grid = ricci_fd(field, (x.reshape(2, 5), y.reshape(2, 5)), cli.ORACLE_STEP).dense()
         assert_bits_equal([grid], [batched.reshape(2, 5, cfg.dim, cfg.dim)])
-        dense = ricci_fd(lambda px, py: field(px, py).dense(), (x, y), cli.ORACLE_STEP)
+        dense = ricci_fd(lambda px, py: field(px, py).dense(), (x, y), cli.ORACLE_STEP).dense()
         assert_bits_equal([batched], [dense])

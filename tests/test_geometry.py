@@ -252,7 +252,7 @@ def test_point_readers_equal_batched_frame(spec):
                           (matrix_jets_to_arrays(one.g_inv)[0], g_inv[k]),
                           (one.r, fr.r[k]), (one.K, fr.K[k]), (one.H, fr.H[k]),
                           (one.lambda0, fr.lambda0[k]), (one.rho.value, fr.rho.value[k]),
-                          (one_ric, ric[k]), (one_scalar, scalar[k]), (one_denom, denom[k])):
+                          (one_ric.dense(), ric.dense()[k]), (one_scalar, scalar[k]), (one_denom, denom[k])):
             assert same_bits(got[0], want), (spec.name, k)
 
 

@@ -187,7 +187,7 @@ def test_grid_fed_ricci_residual_shrinks_under_refinement():
         sol = solve_minimal(SCHERK, EUCLIDEAN, grid=(n, n))
         fr = frame_at(as_surface(sol), (0.3, 0.2))
         ric, _, denom = curvature.ricci_arrays(*assembly.assemble_arrays(fr, cfg))
-        res[n] = np.abs(ric).max() / denom[0]
+        res[n] = np.abs(ric.dense()).max() / denom[0]
     assert res[65] / res[129] > 2.0
 
 
@@ -315,3 +315,59 @@ def test_stencil_runs_once_per_grid_function(monkeypatch):
     assert not any(np.array_equal(a, b) for k, a in enumerate(grids) for b in grids[k + 1:])
     np.testing.assert_array_equal(grids[-1], sol.values[1:-1, 1:-1])
     assert len(impulses) == 9 * steps  # the weights of each Jacobian: one unit impulse per offset
+
+
+# ---------------------------------------------------------------------------
+# the solver's failure paths, reached through a patched sparse solve
+# ---------------------------------------------------------------------------
+
+def patched_spsolve(monkeypatch, step):
+    """Make each Newton step ``step(newton_step)``; returns the list of trial
+    grid functions that _operator is asked for, the initial guess first."""
+    spsolve, operator, trials = solver.splinalg.spsolve, solver._operator, []
+    monkeypatch.setattr(solver.splinalg, "spsolve", lambda J, b: step(spsolve(J, b)))
+
+    def counted(U, *args):
+        trials.append(U)
+        return operator(U, *args)
+
+    monkeypatch.setattr(solver, "_operator", counted)
+    return trials
+
+
+def test_sparse_solve_that_raises_is_singular_jacobian(monkeypatch):
+    def fails(J, b):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(solver.splinalg, "spsolve", fails)
+    with pytest.raises(SingularJacobian, match="sparse solve failed: Factor is exactly singular"):
+        solve_minimal(SCHERK, EUCLIDEAN, grid=(9, 9))
+
+
+def test_non_finite_step_is_singular_jacobian(monkeypatch):
+    patched_spsolve(monkeypatch, lambda delta: np.where(np.arange(delta.size) == 4, np.nan, delta))
+    with pytest.raises(SingularJacobian, match="non-finite step"):
+        solve_minimal(SCHERK, EUCLIDEAN, grid=(9, 9))
+
+
+def test_armijo_halves_a_step_that_overshoots(monkeypatch):
+    # near the solution twice the Newton step leaves the residual at about its
+    # old size, so the line search halves it, to the Newton step, and the
+    # solve converges; each step tries at most twice
+    trials = patched_spsolve(monkeypatch, lambda delta: 2.0 * delta)
+    sol = solve_minimal(SCHERK, EUCLIDEAN, grid=(9, 9))
+    steps = len(sol.residual_history) - 1
+    halvings = len(trials) - 1 - steps  # less the initial guess and one accepted trial per step
+    assert sol.converged and 1 <= halvings <= steps
+    np.testing.assert_array_equal(trials[-1], sol.values)
+
+
+def test_line_search_stalls_on_an_ascent_step(monkeypatch):
+    # minus the Newton step raises the residual at every length tried
+    trials = patched_spsolve(monkeypatch, lambda delta: -delta)
+    with pytest.raises(NoConvergence, match="line search stalled") as err:
+        solve_minimal(SCHERK, EUCLIDEAN, grid=(9, 9))
+    assert len(trials) == 1 + solver.MAX_HALVINGS + 1
+    sol = err.value.solution
+    assert not sol.converged and len(sol.residual_history) == 1
+    np.testing.assert_array_equal(sol.values, trials[0])
