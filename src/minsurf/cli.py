@@ -50,13 +50,16 @@ VERIFY_CHUNK = 1024
 # ---------------------------------------------------------------------------
 
 def _floats(a):
-    """JSON of a non-empty float array: one format pass over its flat list,
-    then the brackets, innermost axis first."""
+    """JSON of a non-empty float array: one format pass per innermost row, so
+    only one row's Python floats are alive at a time, then the brackets of
+    the outer axes, innermost first."""
     flat = a.ravel()
     if not np.isfinite(flat).all():
         raise ValueError(f"cannot write the non-finite number {float(flat[~np.isfinite(flat)][0])} as JSON")
-    items = list(map("{:.17g}".format, flat.tolist()))
-    for size in a.shape[::-1]:
+    if a.ndim == 0:
+        return format(float(a), ".17g")
+    items = ["[" + ", ".join(map("{:.17g}".format, row.tolist())) + "]" for row in a.reshape(-1, a.shape[-1])]
+    for size in a.shape[-2::-1]:
         items = ["[" + ", ".join(items[i:i + size]) + "]" for i in range(0, len(items), size)]
     return items[0]
 
@@ -237,8 +240,10 @@ def run_verification(spec, cfg, samples, seed, tol, oracle):
             raise _range_error(frame, cfg, x[start:], y[start:]) or exc
         ric_abs = functools.reduce(np.maximum, [np.abs(p).max(axis=(-2, -1)) for p in ric.parts])
         ratio = ric_abs / denom
-        if not np.isfinite(ratio).all():  # R or its scale left the float range
-            raise _range_error(frame, cfg, x[start:], y[start:], np.flatnonzero(~np.isfinite(ratio)))
+        # R or its scale left the float range; a finite R over an inf scale reads 0
+        out_of_range = ~(np.isfinite(ratio) & np.isfinite(denom))
+        if out_of_range.any():
+            raise _range_error(frame, cfg, x[start:], y[start:], np.flatnonzero(out_of_range))
         worst["max_abs"] = _first_max(worst["max_abs"], ric_abs, start)
         worst["ricci"] = _first_max(worst["ricci"], ratio, start)
         for name, res in checks.items():

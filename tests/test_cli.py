@@ -990,7 +990,11 @@ def test_sampler_log_domain_exhaustion(capsys):
      "the conformal factor e^(2 Phi) underflows at (0.242846, -1.46015) for n = 200"),
     # e^(2 Phi) is subnormal there, so the x-block's inverse, and then R, overflow
     (("--surface", "bi_wave", "--n", "200"),
-     "the conformal factor e^(2 Phi) underflows at (1.26537, 1.2707) for n = 200")])
+     "the conformal factor e^(2 Phi) underflows at (1.26537, 1.2707) for n = 200"),
+    # R is finite there but its scale 1 + max|d2 g| + max|Gamma|^2 is not, so
+    # |R| / scale would read 0 and pass
+    (("--surface", "bi_wave", "--n", "100"),
+     "the Ricci tensor overflows at (1.26537, 1.2707) for n = 100")])
 def test_verify_past_the_float_range_names_point_and_n(capsys, argv, message):
     code, out, err = run(capsys, "verify", *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -325,7 +325,7 @@ def patched_spsolve(monkeypatch, step):
     """Make each Newton step ``step(newton_step)``; returns the list of trial
     grid functions that _operator is asked for, the initial guess first."""
     spsolve, operator, trials = solver.splinalg.spsolve, solver._operator, []
-    monkeypatch.setattr(solver.splinalg, "spsolve", lambda J, b: step(spsolve(J, b)))
+    monkeypatch.setattr(solver.splinalg, "spsolve", lambda J, b, **kw: step(spsolve(J, b, **kw)))
 
     def counted(U, *args):
         trials.append(U)
@@ -336,7 +336,7 @@ def patched_spsolve(monkeypatch, step):
 
 
 def test_sparse_solve_that_raises_is_singular_jacobian(monkeypatch):
-    def fails(J, b):
+    def fails(J, b, **kw):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(solver.splinalg, "spsolve", fails)
@@ -371,3 +371,43 @@ def test_line_search_stalls_on_an_ascent_step(monkeypatch):
     sol = err.value.solution
     assert not sol.converged and len(sol.residual_history) == 1
     np.testing.assert_array_equal(sol.values, trials[0])
+
+
+# ---------------------------------------------------------------------------
+# the fill-reducing ordering of each Newton step, against SuperLU's default
+# ---------------------------------------------------------------------------
+
+def test_newton_steps_factor_under_minimum_degree_ordering(monkeypatch):
+    spsolve, orderings = solver.splinalg.spsolve, []
+
+    def spy(J, b, **kw):
+        orderings.append(kw.get("permc_spec"))
+        return spsolve(J, b, **kw)
+
+    monkeypatch.setattr(solver.splinalg, "spsolve", spy)
+    sol = solve_minimal(SCHERK, EUCLIDEAN, grid=(17, 17))
+    assert orderings == ["MMD_AT_PLUS_A"] * (len(sol.residual_history) - 1)
+
+
+CATENOID = surfaces.get("catenoid")
+
+
+@pytest.mark.parametrize("boundary, ambient, grid, domain", [
+    (SCHERK, EUCLIDEAN, (33, 33), (-1.0, 1.0, -1.0, 1.0)),
+    (lambda x, y: CATENOID.phi_jet(x, y).value, EUCLIDEAN, (65, 65), CATENOID.domain),
+    (SCHERK, AmbientMetric(2.0, 1.0, 0.5, 1), (65, 65), (-0.5, 0.5, -0.5, 0.5)),
+    (SCHERK, AmbientMetric(1.0, 1.0, 0.0, -1), (65, 65), (-0.4, 0.4, -0.4, 0.4))],
+    ids=["scherk33", "catenoid65", "scherk65-skew", "scherk65-eps-minus"])
+def test_minimum_degree_solve_matches_colamd_within_round_off(monkeypatch, boundary, ambient, grid, domain):
+    # SuperLU's default COLAMD ordering is the reference: the ordering only
+    # permutes the LU's eliminations, so the solution moves by round-off,
+    # 0.4 to 1.9 eps max|U| on these four cases, against a gate of 8
+    got = solve_minimal(boundary, ambient, grid=grid, domain=domain)
+    spsolve = solver.splinalg.spsolve
+    monkeypatch.setattr(solver.splinalg, "spsolve",
+                        lambda J, b, **kw: spsolve(J, b, **{**kw, "permc_spec": "COLAMD"}))
+    ref = solve_minimal(boundary, ambient, grid=grid, domain=domain)
+    assert got.converged and ref.converged
+    assert len(got.residual_history) == len(ref.residual_history)
+    assert got.residual_history[0] == ref.residual_history[0]
+    assert np.abs(got.values - ref.values).max() <= 8 * np.finfo(float).eps * np.abs(ref.values).max()
