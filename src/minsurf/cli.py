@@ -461,10 +461,9 @@ def _parse_metric(text, point):
         return curvature.polar_metric(point)
     if text.startswith("sphere:"):
         try:
-            a = float(text[len("sphere:"):])
-        except ValueError:
+            return curvature.sphere_metric(point, float(text[len("sphere:"):]))
+        except (ValueError, OverflowError):  # a radius whose square overflows
             raise UsageError(f"bad sphere radius in {text!r}")
-        return curvature.sphere_metric(point, a)
     if text.startswith("assembled:"):
         name, *opts = text[len("assembled:"):].split(",")
         if not name:
@@ -596,7 +595,6 @@ def _reuse_freed_memory():
 
 
 def main(argv=None) -> int:
-    _reuse_freed_memory()
     parser = build_parser()
     argv = _normalize_argv(sys.argv[1:] if argv is None else argv)
     try:
@@ -604,7 +602,8 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             # the file's flags go first, so the command line's own win
             args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # run_verification's policy
+            return args.func(args)
     except (UsageError, ValueError, MemoryError) as exc:  # MemoryError: a --samples too large to hold
         print(f"error: {exc}", file=sys.stderr)
         return 2

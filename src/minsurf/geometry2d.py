@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .curvature import SingularMetric, engine_arrays, ricci_arrays
-from .jets import DomainError, Jet3, deriv
+from .curvature import engine_arrays, ricci_arrays
+from .jets import Jet3, deriv
 from .surfaces import AmbientMetric, InadmissiblePoint, SurfaceSpec
 
 #: names of every identity check, in reporting order
@@ -82,8 +82,6 @@ class SurfaceFrame:
         self.p = p = _gradient(f)  # phi_{,mu} along the leading axis, valid to order 2
         px_py = Jet3(p.c[:, 0]), Jet3(p.c[:, 1])
         self.rho = amb.rho(*px_py)
-        if np.any(self.rho.value <= 0.0):
-            raise DomainError("rho <= 0 in SurfaceFrame")
         self.log_rho = jets.log(self.rho)
         self.sr = jets.sqrt(self.rho)
         gi = amb.g0_inv
@@ -148,8 +146,6 @@ def _inverse(m: Jet3):
     entries of the inverse are read from the (0, 1) entry."""
     a, b, d = Jet3(m.c[:, 0, 0]), Jet3(m.c[:, 0, 1]), Jet3(m.c[:, 1, 1])
     det = a * d - b * b
-    if np.any(det.value == 0.0):
-        raise SingularMetric("metric determinant vanishes")
     adj = Jet3(np.stack([np.stack([d.c, -b.c], axis=1), np.stack([-b.c, a.c], axis=1)], axis=1))
     return jets.sqrt(det * np.sign(det.value)), adj * jets.powr(det, -1)
 

@@ -15,6 +15,7 @@ finite-difference jets at the nodes nearest to arrays of points.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,7 +206,9 @@ def solve_minimal(boundary, ambient: AmbientMetric, grid=(65, 65),
         try:
             # the 9-point stencil is structurally symmetric, so a minimum-degree
             # ordering of J + J^T fills L + U 40% less than SuperLU's COLAMD
-            delta = splinalg.spsolve(J, -F.ravel(), permc_spec="MMD_AT_PLUS_A")
+            with warnings.catch_warnings():  # an exactly singular J warns and returns nan
+                warnings.simplefilter("error", splinalg.MatrixRankWarning)
+                delta = splinalg.spsolve(J, -F.ravel(), permc_spec="MMD_AT_PLUS_A")
         except Exception as exc:
             raise SingularJacobian(f"sparse solve failed: {exc}") from exc
         if not np.all(np.isfinite(delta)):

@@ -411,6 +411,33 @@ def test_run_verification_large_node_raises_singular_metric(tmp_path):
     assert caught == []
 
 
+@pytest.mark.parametrize("argv,code,message", [
+    (["curvature", "--metric", "assembled:scherk,n=2,m1=200", "--point", "1.4,1.4"], 2, "metric is singular"),
+    (["curvature", "--metric", "assembled:scherk,n=2,m1=1e300", "--point", "0.3,0.2"], 2, "metric is singular"),
+    (["curvature", "--metric", "sphere:1e200", "--point", "1,0.5"], 2, "bad sphere radius in 'sphere:1e200'"),
+    (["solve", "--boundary", "linear:1e160,0,0", "--grid", "9,9"], 1,
+     "sparse solve failed: Matrix is exactly singular"),
+    (["solve", "--boundary", "scherk", "--ambient", "1e154,1e154,0,1", "--grid", "65,65"], 0, None),
+], ids=["curvature-m1-200", "curvature-m1-1e300", "sphere-1e200", "solve-linear-1e160", "solve-ambient-1e154"])
+def test_overflowing_input_one_line_no_warning(capsys, tmp_path, argv, code, message):
+    """Every command computes under verify's floating-point policy: an
+    overflow ends in the command's own one-line error, or in none, and never
+    in a numpy warning or a traceback."""
+    out_path = tmp_path / "o.minsurf"
+    if argv[0] == "solve":
+        argv = argv + ["--out", str(out_path)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, out, err = run(capsys, *argv)
+    assert caught == []
+    assert got == code
+    if message is None:
+        assert err == ""
+    else:
+        assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+        assert not out_path.exists()
+
+
 @pytest.mark.parametrize("flags", [("--tol", "inf"), ("--tol", "nan"), ("--max-iter", "-3")])
 def test_solve_bad_tol_or_max_iter_exit2(capsys, tmp_path, flags):
     path = tmp_path / "s.minsurf"

@@ -79,6 +79,12 @@ def test_sample_rho_nonpositive_raises():
         frame_at(steep, (0.0, 0.0))  # rho = 1 - 4 < 0
 
 
+def test_inverse_of_a_singular_jet_matrix_raises():
+    f = Jet3.variable("x", np.array([0.5, 2.0]))
+    with pytest.raises(DomainError):
+        geometry2d._inverse(Jet3(np.stack([np.stack([f.c, f.c], axis=1)] * 2, axis=1)))  # det = f f - f f = 0
+
+
 # -------------------------------------------------------------------------
 # curvature quantities
 # -------------------------------------------------------------------------
