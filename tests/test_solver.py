@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import scipy.sparse.linalg as splinalg
 from conftest import CLOSED_FORMS
 
 from minsurf import assembly, curvature, solver, surfaces
 from minsurf.geometry2d import frame_at
 from minsurf.jets import IDX
-from minsurf.solver import (NoConvergence, SingularJacobian, TooCloseToBoundary,
+from minsurf.solver import (GridSolution, NoConvergence, SingularJacobian, TooCloseToBoundary,
                             as_surface, grid_jets, load_solution, save_solution, solve_minimal)
 from minsurf.surfaces import EUCLIDEAN, LORENTZIAN, AmbientMetric
 
@@ -97,6 +98,22 @@ def test_save_load_roundtrip(tmp_path):
     assert (back.nx, back.ny) == (17, 17)
     assert back.ambient == sol.ambient
     np.testing.assert_array_equal(back.values, sol.values)
+
+
+def test_save_writes_each_value_as_format_17g(tmp_path):
+    # the row template must spell every double as format(v, ".17g") does,
+    # signed zero, subnormals, the largest double and the exponent switches included
+    edge = [-0.0, 0.0, 5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max,
+            1e-5, 1e-4, 1e16, 1e17, 0.1, 1.0 / 3.0, -2.5]
+    rng = np.random.default_rng(7)
+    spread = rng.choice([-1.0, 1.0], 5 * 40) * 10.0 ** rng.uniform(-300, 300, 5 * 40)
+    values = np.concatenate([edge, spread, np.zeros(5 * 43 - len(edge) - spread.size)]).reshape(5, 43)
+    sol = GridSolution(5, 43, (0.0, 1.0), (0.0, 1.0), values, EUCLIDEAN, converged=True)
+    path = tmp_path / "edge.minsurf"
+    save_solution(sol, path)
+    rows = path.read_text().splitlines()[1:]
+    assert rows == [" ".join(format(v, ".17g") for v in r) for r in values]
+    assert_bits_equal(load_solution(path).values, values)
 
 
 def test_save_marks_unconverged(tmp_path):
@@ -254,6 +271,11 @@ def reference_jacobian(U, amb, hx, hy):
                              shape=(mi * mj, mi * mj)).tocsr()
 
 
+def row_major(shape):
+    """The rank of each interior node in the row-major numbering."""
+    return np.arange(np.prod(shape)).reshape(shape)
+
+
 def spacing(shape, box):
     return (box[1] - box[0]) / (shape[0] - 1), (box[3] - box[2]) / (shape[1] - 1)
 
@@ -272,7 +294,8 @@ def test_shared_stencil_keeps_residual_jacobian_and_floor_bits(shape, box):
         for U in fields:
             d, coeffs, F = solver._operator(U, amb, hx, hy)
             assert_bits_equal(F, reference_residual(U, amb, hx, hy))
-            J, want = solver._jacobian(d, coeffs, amb, hx, hy), reference_jacobian(U, amb, hx, hy)
+            J = solver._jacobian(d, coeffs, amb, hx, hy, row_major(F.shape))
+            want = reference_jacobian(U, amb, hx, hy)
             for got, ref in ((J.data, want.data), (J.indices, want.indices), (J.indptr, want.indptr)):
                 assert_bits_equal(got, ref)
             assert solver._rounding_floor(U, coeffs, hx, hy) == reference_floor(U, amb, hx, hy)
@@ -289,8 +312,8 @@ def test_jacobian_is_derivative_of_residual(amb):
     U = 0.3 * rng.uniform(-1.0, 1.0, shape)
     v = np.zeros(shape)
     v[1:-1, 1:-1] = rng.uniform(-1.0, 1.0, (shape[0] - 2, shape[1] - 2))
-    d, coeffs, _ = solver._operator(U, amb, hx, hy)
-    Jv = solver._jacobian(d, coeffs, amb, hx, hy) @ v[1:-1, 1:-1].ravel()
+    d, coeffs, F = solver._operator(U, amb, hx, hy)
+    Jv = solver._jacobian(d, coeffs, amb, hx, hy, row_major(F.shape)) @ v[1:-1, 1:-1].ravel()
     t = 1e-5
     quotient = (solver._operator(U + t * v, amb, hx, hy)[2]
                 - solver._operator(U - t * v, amb, hx, hy)[2]).ravel() / (2 * t)
@@ -374,10 +397,55 @@ def test_line_search_stalls_on_an_ascent_step(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the fill-reducing ordering of each Newton step, against SuperLU's default
+# the nested-dissection numbering of each Newton step, against SuperLU's orderings
 # ---------------------------------------------------------------------------
 
-def test_newton_steps_factor_under_minimum_degree_ordering(monkeypatch):
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 9), (9, 2), (2, 2), (3, 3),
+                                   (31, 31), (32, 32), (31, 32), (64, 17), (255, 31), (31, 255)])
+def test_dissection_is_a_permutation(shape):
+    order = solver._dissection(*shape)
+    np.testing.assert_array_equal(np.sort(order), np.arange(np.prod(shape)))
+    assert not order.flags.writeable  # the memoized array is shared between solves
+
+
+def test_dissection_numbers_the_separator_last():
+    # the middle row of a 7 x 5 grid splits it; each 3 x 5 half is split by
+    # its middle column, and each 3 x 2 quarter is split by its middle row
+    order = solver._dissection(7, 5)
+    np.testing.assert_array_equal(order[-5:], np.arange(15, 20))
+    np.testing.assert_array_equal(order[:15], [0, 1, 10, 11, 5, 6, 3, 4, 13, 14, 8, 9, 2, 7, 12])
+
+
+def coons_scherk_jacobians(n):
+    """The row-major and the dissection-numbered Jacobian of the first Newton step
+    of Scherk on an n x n grid over the default square."""
+    h = 2.0 / (n - 1)
+    xs = np.linspace(-1.0, 1.0, n)
+    U = solver._coons_patch(SCHERK, xs, xs)
+    d, coeffs, F = solver._operator(U, EUCLIDEAN, h, h)
+    ranks = row_major(F.shape), np.argsort(solver._dissection(*F.shape)).reshape(F.shape)
+    return tuple(solver._jacobian(d, coeffs, EUCLIDEAN, h, h, rank) for rank in ranks)
+
+
+@pytest.mark.parametrize("n", [17, 34, 129, 257])
+def test_dissection_jacobian_is_the_permuted_row_major_jacobian(n):
+    J, got = coons_scherk_jacobians(n)
+    order = solver._dissection(n - 2, n - 2)
+    want = J[order][:, order]  # P J P^T, P the permutation that numbers node order[k] as k
+    want.sort_indices()
+    for a, b in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
+        assert_bits_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [65, 129])
+def test_dissection_fills_less_than_minimum_degree(n):
+    J, nested = coons_scherk_jacobians(n)
+    mmd = splinalg.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    nd = splinalg.splu(nested.tocsc(), permc_spec="NATURAL")
+    assert nd.L.nnz + nd.U.nnz < mmd.L.nnz + mmd.U.nnz
+
+
+def test_newton_steps_keep_the_dissection_numbering(monkeypatch):
     spsolve, orderings = solver.splinalg.spsolve, []
 
     def spy(J, b, **kw):
@@ -386,7 +454,7 @@ def test_newton_steps_factor_under_minimum_degree_ordering(monkeypatch):
 
     monkeypatch.setattr(solver.splinalg, "spsolve", spy)
     sol = solve_minimal(SCHERK, EUCLIDEAN, grid=(17, 17))
-    assert orderings == ["MMD_AT_PLUS_A"] * (len(sol.residual_history) - 1)
+    assert orderings == ["NATURAL"] * (len(sol.residual_history) - 1)
 
 
 CATENOID = surfaces.get("catenoid")
@@ -399,9 +467,9 @@ CATENOID = surfaces.get("catenoid")
     (SCHERK, AmbientMetric(1.0, 1.0, 0.0, -1), (65, 65), (-0.4, 0.4, -0.4, 0.4))],
     ids=["scherk33", "catenoid65", "scherk65-skew", "scherk65-eps-minus"])
 def test_minimum_degree_solve_matches_colamd_within_round_off(monkeypatch, boundary, ambient, grid, domain):
-    # SuperLU's default COLAMD ordering is the reference: the ordering only
-    # permutes the LU's eliminations, so the solution moves by round-off,
-    # 0.4 to 1.9 eps max|U| on these four cases, against a gate of 8
+    # the solve's nested-dissection numbering against SuperLU's default COLAMD
+    # ordering: an ordering only permutes the LU's eliminations, so the solution
+    # moves by round-off, 0.4 to 1.5 eps max|U| on these four cases, against a gate of 8
     got = solve_minimal(boundary, ambient, grid=grid, domain=domain)
     spsolve = solver.splinalg.spsolve
     monkeypatch.setattr(solver.splinalg, "spsolve",
