@@ -7,9 +7,10 @@ Solves the quasilinear equation
 
 on a rectangle with Dirichlet data: ``curvature.central_differences`` once
 per grid function, a sparse Jacobian weighted by that stencil's response to
-unit impulses and numbered in nested-dissection order, direct sparse solves
-and Armijo backtracking; an iterate whose residual is at its rounding floor
-ends converged.  Solutions serialize to the plain-text ``minsurf v1``
+unit impulses and numbered in nested-dissection order, a direct sparse solve
+for the first Newton step and sine-transform-preconditioned GMRES for later
+ones, and Armijo backtracking; an iterate whose residual is at its rounding
+floor ends converged.  Solutions serialize to the plain-text ``minsurf v1``
 format and feed the verification pipeline through ``grid_jets``, the
 finite-difference jets at the nodes nearest to arrays of points.
 """
@@ -21,6 +22,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft as fft
 import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
 
@@ -33,6 +35,9 @@ FORMAT_MAGIC = "minsurf v1"
 #: Armijo sufficient-decrease constant and halving budget
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 20
+
+#: GMRES budget of a Newton step: one cycle of at most this many iterations
+GMRES_ITERATIONS = 30
 
 
 class NoConvergence(RuntimeError):
@@ -192,6 +197,65 @@ def _jacobian(d, coeffs, amb, hx, hy, rank):
     return mat.tocsr()
 
 
+def _sine_solver(a, c, hx, hy, order, rank):
+    """The inverse of a delta_xx + c delta_yy under zero Dirichlet data, on
+    vectors numbered by ``rank``: the sine transform (DST-I) diagonalizes it
+    (Concus and Golub, SIAM J. Numer. Anal. 10 (1973) 1103)."""
+    mi, mj = rank.shape
+    lx = -4.0 / hx ** 2 * np.sin(np.pi * np.arange(1, mi + 1) / (2 * (mi + 1))) ** 2
+    ly = -4.0 / hy ** 2 * np.sin(np.pi * np.arange(1, mj + 1) / (2 * (mj + 1))) ** 2
+    eig = a * lx[:, None] + c * ly[None, :]
+    return lambda v: fft.idstn(fft.dstn(v[rank], type=1) / eig, type=1).ravel()[order]
+
+
+def _gmres_step(J, F, order, rank, coeffs, hx, hy, floor):
+    """The Newton step from one preconditioned GMRES cycle (Saad and Schultz,
+    SIAM J. Sci. Stat. Comput. 7 (1986) 856), or None where the equation is
+    not elliptic at every interior node or the cycle misses
+    |J delta + F|_2 <= max(1e-8 |F|_2, floor / sqrt(N)) over the N unknowns.
+
+    The floor bounds the rounding of F node by node, which J^-1 damps by
+    about h^2; a smooth linear residual it damps by O(1), so its 2-norm, about
+    sqrt(N) times its size at a node, must stay near floor h to leave the
+    solution within round-off of a direct solve's."""
+    A, B, C = coeffs
+    a, c = float(A.mean()), float(C.mean())
+    if not (np.all(A * C > 0.25 * B * B) and a * c > 0.0):
+        return None
+    scale = float(np.abs(F).max())  # so that no 2-norm overflows
+    # preconditioned on the right, J P^-1 y = b, GMRES minimizes the true
+    # residual of x = P^-1 y, and its exit test is that residual, recomputed
+    inverse = _sine_solver(a, c, hx, hy, order, rank)
+    JP = splinalg.LinearOperator(J.shape, matvec=lambda y: J @ inverse(y))
+    y, info = splinalg.gmres(JP, -F.ravel()[order] / scale, rtol=1e-8,
+                             atol=floor / (scale * np.sqrt(F.size)), restart=GMRES_ITERATIONS, maxiter=1)
+    delta = scale * inverse(y)[rank]
+    if info != 0 or not np.all(np.isfinite(delta)):
+        return None
+    return delta
+
+
+def _newton_step(J, F, order, rank, krylov=None):
+    """The Newton step delta, J delta = -F at the interior nodes, J numbered
+    by ``rank`` and ``order`` its inverse.  With ``krylov`` = (coeffs, hx, hy,
+    floor) it tries ``_gmres_step`` first; returns delta and whether GMRES gave it."""
+    if krylov is not None:
+        delta = _gmres_step(J, F, order, rank, *krylov)
+        if delta is not None:
+            return delta, True
+    try:
+        # J is numbered in nested-dissection order, which fills L + U less
+        # than SuperLU's own orderings on this grid, so SuperLU keeps it
+        with warnings.catch_warnings():  # an exactly singular J warns and returns nan
+            warnings.simplefilter("error", splinalg.MatrixRankWarning)
+            delta = splinalg.spsolve(J, -F.ravel()[order], permc_spec="NATURAL")
+    except Exception as exc:
+        raise SingularJacobian(f"sparse solve failed: {exc}") from exc
+    if not np.all(np.isfinite(delta)):
+        raise SingularJacobian("sparse solve produced non-finite step")
+    return delta[rank], False
+
+
 def solve_minimal(boundary, ambient: AmbientMetric, grid=(65, 65),
                   domain=(-1.0, 1.0, -1.0, 1.0), tol=1e-10, max_iter=25) -> GridSolution:
     """Damped Newton iteration from the Coons-patch initial guess.
@@ -199,7 +263,9 @@ def solve_minimal(boundary, ambient: AmbientMetric, grid=(65, 65),
     ``boundary(x, y)`` supplies Dirichlet values on the rectangle edge
     (vectorized).  Residual history records the interior max norm.  The
     iteration converges once that norm is below ``tol`` or at most the
-    operator's rounding floor on the current iterate.
+    operator's rounding floor on the current iterate.  The first Newton
+    step is a direct solve; later ones use GMRES until a step where it
+    misses or the equation is not elliptic, and from there on are direct.
     """
     nx, ny = grid
     _check_grid(nx, ny, domain)
@@ -221,32 +287,26 @@ def solve_minimal(boundary, ambient: AmbientMetric, grid=(65, 65),
     rank[order] = np.arange(order.size)
     rank = rank.reshape(F.shape)
     history = [float(np.abs(F).max())]
+    try_gmres = False  # not on the first step, nor on any after a miss
     for it in range(max_iter + 1):
-        if history[-1] < tol or history[-1] <= _rounding_floor(U, coeffs, hx, hy):
+        floor = _rounding_floor(U, coeffs, hx, hy)
+        if history[-1] < tol or history[-1] <= floor:
             break
         if it == max_iter:
             sol.values, sol.residual_history = U, history
             raise NoConvergence(f"residual {history[-1]:.3e} after {max_iter} iterations", sol)
         J = _jacobian(d, coeffs, ambient, hx, hy, rank)
-        try:
-            # J is numbered in nested-dissection order, which fills L + U less
-            # than SuperLU's own orderings on this grid, so SuperLU keeps it
-            with warnings.catch_warnings():  # an exactly singular J warns and returns nan
-                warnings.simplefilter("error", splinalg.MatrixRankWarning)
-                delta = splinalg.spsolve(J, -F.ravel()[order], permc_spec="NATURAL")
-        except Exception as exc:
-            raise SingularJacobian(f"sparse solve failed: {exc}") from exc
-        if not np.all(np.isfinite(delta)):
-            raise SingularJacobian("sparse solve produced non-finite step")
-        delta = delta[rank]
+        delta, try_gmres = _newton_step(J, F, order, rank, (coeffs, hx, hy, floor) if try_gmres else None)
+        try_gmres = try_gmres or it == 0
 
-        f0 = float((F ** 2).sum())
+        # the sums of squares in units of max |F|, so that none overflows
+        f0 = float(((F / history[-1]) ** 2).sum())
         lam = 1.0
         for _halving in range(MAX_HALVINGS + 1):
             U_try = U.copy()
             U_try[1:-1, 1:-1] += lam * delta
             trial = _operator(U_try, ambient, hx, hy)
-            if float((trial[2] ** 2).sum()) <= (1.0 - ARMIJO_C * lam) * f0:
+            if float(((trial[2] / history[-1]) ** 2).sum()) <= (1.0 - ARMIJO_C * lam) * f0:
                 break
             lam *= 0.5
         else:

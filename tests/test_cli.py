@@ -1027,6 +1027,15 @@ def test_verify_past_the_float_range_names_point_and_n(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_scherk_verdict_holds_up_to_n_161(capsys):
+    # on the 100 default samples the README's range ends here: n = 161 passes,
+    # and at n = 162 R leaves the float range while e^(2 Phi) is still in it
+    code, rep, err = verify_report(capsys, "--surface", "scherk", "--n", "161")
+    assert code == 0 and rep["pass"] is True and err == ""
+    code, out, err = run(capsys, "verify", "--surface", "scherk", "--n", "162")
+    assert (code, out, err) == (2, "", "error: the Ricci tensor overflows at (0.242846, -1.46015) for n = 162\n")
+
+
 def test_verify_ricci_overflow_names_point_and_n(capsys, monkeypatch):
     # an R that overflows while e^(2 Phi) is in range is named as such
     engine = cli.curvature.ricci_arrays

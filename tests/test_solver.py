@@ -344,11 +344,9 @@ def test_stencil_runs_once_per_grid_function(monkeypatch):
 # the solver's failure paths, reached through a patched sparse solve
 # ---------------------------------------------------------------------------
 
-def patched_spsolve(monkeypatch, step):
-    """Make each Newton step ``step(newton_step)``; returns the list of trial
-    grid functions that _operator is asked for, the initial guess first."""
-    spsolve, operator, trials = solver.splinalg.spsolve, solver._operator, []
-    monkeypatch.setattr(solver.splinalg, "spsolve", lambda J, b, **kw: step(spsolve(J, b, **kw)))
+def counted_trials(monkeypatch):
+    """The list of grid functions that _operator is asked for from here on."""
+    operator, trials = solver._operator, []
 
     def counted(U, *args):
         trials.append(U)
@@ -356,6 +354,33 @@ def patched_spsolve(monkeypatch, step):
 
     monkeypatch.setattr(solver, "_operator", counted)
     return trials
+
+
+def patched_spsolve(monkeypatch, step):
+    """Make each direct Newton step ``step(newton_step)``; returns the list of
+    trial grid functions that _operator is asked for, the initial guess first."""
+    spsolve = solver.splinalg.spsolve
+    monkeypatch.setattr(solver.splinalg, "spsolve", lambda J, b, **kw: step(spsolve(J, b, **kw)))
+    return counted_trials(monkeypatch)
+
+
+def patched_step(monkeypatch, step):
+    """Make each Newton step ``step(newton_step)``, direct or GMRES, at the one
+    function every linear solve goes through; returns the trials as above."""
+    newton_step = solver._newton_step
+
+    def patched(*args):
+        delta, by_gmres = newton_step(*args)
+        return step(delta), by_gmres
+
+    monkeypatch.setattr(solver, "_newton_step", patched)
+    return counted_trials(monkeypatch)
+
+
+def all_direct(monkeypatch):
+    """Make every Newton step a direct solve, as after a GMRES miss."""
+    newton_step = solver._newton_step
+    monkeypatch.setattr(solver, "_newton_step", lambda J, F, order, rank, krylov: newton_step(J, F, order, rank))
 
 
 def test_sparse_solve_that_raises_is_singular_jacobian(monkeypatch):
@@ -377,7 +402,7 @@ def test_armijo_halves_a_step_that_overshoots(monkeypatch):
     # near the solution twice the Newton step leaves the residual at about its
     # old size, so the line search halves it, to the Newton step, and the
     # solve converges; each step tries at most twice
-    trials = patched_spsolve(monkeypatch, lambda delta: 2.0 * delta)
+    trials = patched_step(monkeypatch, lambda delta: 2.0 * delta)
     sol = solve_minimal(SCHERK, EUCLIDEAN, grid=(9, 9))
     steps = len(sol.residual_history) - 1
     halvings = len(trials) - 1 - steps  # less the initial guess and one accepted trial per step
@@ -394,6 +419,15 @@ def test_line_search_stalls_on_an_ascent_step(monkeypatch):
     sol = err.value.solution
     assert not sol.converged and len(sol.residual_history) == 1
     np.testing.assert_array_equal(sol.values, trials[0])
+
+
+def test_line_search_stalls_on_an_ascent_step_whose_squares_overflow(monkeypatch):
+    # |F| is about 1e155 here, so sum(F^2) would read inf on both sides of the
+    # Armijo test and accept every ascent step; in units of max |F| it stalls
+    trials = patched_step(monkeypatch, lambda delta: -delta)
+    with pytest.raises(NoConvergence, match="line search stalled"):
+        solve_minimal(SCHERK, AmbientMetric(1e154, 1e154, 0.0, 1), grid=(9, 9))
+    assert len(trials) == 1 + solver.MAX_HALVINGS + 1
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +487,7 @@ def test_newton_steps_keep_the_dissection_numbering(monkeypatch):
         return spsolve(J, b, **kw)
 
     monkeypatch.setattr(solver.splinalg, "spsolve", spy)
+    all_direct(monkeypatch)
     sol = solve_minimal(SCHERK, EUCLIDEAN, grid=(17, 17))
     assert orderings == ["NATURAL"] * (len(sol.residual_history) - 1)
 
@@ -460,12 +495,17 @@ def test_newton_steps_keep_the_dissection_numbering(monkeypatch):
 CATENOID = surfaces.get("catenoid")
 
 
-@pytest.mark.parametrize("boundary, ambient, grid, domain", [
-    (SCHERK, EUCLIDEAN, (33, 33), (-1.0, 1.0, -1.0, 1.0)),
-    (lambda x, y: CATENOID.phi_jet(x, y).value, EUCLIDEAN, (65, 65), CATENOID.domain),
-    (SCHERK, AmbientMetric(2.0, 1.0, 0.5, 1), (65, 65), (-0.5, 0.5, -0.5, 0.5)),
-    (SCHERK, AmbientMetric(1.0, 1.0, 0.0, -1), (65, 65), (-0.4, 0.4, -0.4, 0.4))],
-    ids=["scherk33", "catenoid65", "scherk65-skew", "scherk65-eps-minus"])
+#: solves whose Newton steps after the first are GMRES steps: (boundary, ambient, grid, domain)
+ROUND_OFF_CASES = [
+    pytest.param(SCHERK, EUCLIDEAN, (33, 33), (-1.0, 1.0, -1.0, 1.0), id="scherk33"),
+    pytest.param(lambda x, y: CATENOID.phi_jet(x, y).value, EUCLIDEAN, (65, 65), CATENOID.domain,
+                 id="catenoid65"),
+    pytest.param(SCHERK, AmbientMetric(2.0, 1.0, 0.5, 1), (65, 65), (-0.5, 0.5, -0.5, 0.5), id="scherk65-skew"),
+    pytest.param(SCHERK, AmbientMetric(1.0, 1.0, 0.0, -1), (65, 65), (-0.4, 0.4, -0.4, 0.4),
+                 id="scherk65-eps-minus")]
+
+
+@pytest.mark.parametrize("boundary, ambient, grid, domain", ROUND_OFF_CASES)
 def test_minimum_degree_solve_matches_colamd_within_round_off(monkeypatch, boundary, ambient, grid, domain):
     # the solve's nested-dissection numbering against SuperLU's default COLAMD
     # ordering: an ordering only permutes the LU's eliminations, so the solution
@@ -479,3 +519,59 @@ def test_minimum_degree_solve_matches_colamd_within_round_off(monkeypatch, bound
     assert len(got.residual_history) == len(ref.residual_history)
     assert got.residual_history[0] == ref.residual_history[0]
     assert np.abs(got.values - ref.values).max() <= 8 * np.finfo(float).eps * np.abs(ref.values).max()
+
+
+# ---------------------------------------------------------------------------
+# Newton steps after the first: sine-transform-preconditioned GMRES
+# ---------------------------------------------------------------------------
+
+def gmres_calls(monkeypatch):
+    """The list of info codes of the GMRES cycles the solver runs from here on."""
+    gmres, infos = solver.splinalg.gmres, []
+
+    def spy(*args, **kw):
+        x, info = gmres(*args, **kw)
+        infos.append(info)
+        return x, info
+
+    monkeypatch.setattr(solver.splinalg, "gmres", spy)
+    return infos
+
+
+@pytest.mark.parametrize("boundary, ambient, grid, domain", ROUND_OFF_CASES + [
+    pytest.param(SCHERK, AmbientMetric(10.0, 1.0, 0.0, 1), (65, 65), (-1.0, 1.0, -1.0, 1.0), id="scherk65-k1-10"),
+    pytest.param(SCHERK, EUCLIDEAN, (65, 33), (-1.0, 1.0, -1.0, 1.0), id="scherk65x33")])
+def test_gmres_steps_match_the_all_direct_solve_within_round_off(monkeypatch, boundary, ambient, grid, domain):
+    # the first step is the same direct solve, so its residual keeps its bits;
+    # each later GMRES step stops within round-off of the direct step, and the
+    # solutions differ by 0.4 to 4.9 eps max|U| on these and at 257^2, against 8
+    infos = gmres_calls(monkeypatch)
+    got = solve_minimal(boundary, ambient, grid=grid, domain=domain)
+    assert infos and not any(infos)  # every later step is a GMRES step that met its tolerance
+    all_direct(monkeypatch)
+    ref = solve_minimal(boundary, ambient, grid=grid, domain=domain)
+    assert got.converged and ref.converged
+    assert len(got.residual_history) == len(ref.residual_history) == len(infos) + 2
+    assert got.residual_history[:2] == ref.residual_history[:2]
+    assert np.abs(got.values - ref.values).max() <= 8 * np.finfo(float).eps * np.abs(ref.values).max()
+
+
+HELICOID = surfaces.get("helicoid")
+
+
+@pytest.mark.parametrize("boundary, ambient, domain, attempts", [
+    # a Lorentzian g0 gives A and C opposite signs: no step tries GMRES
+    (lambda x, y: 0.2 * np.asarray(x) ** 2 + 0.1 * np.asarray(y) ** 3, LORENTZIAN, (-0.5, 0.5, -0.5, 0.5), 0),
+    # the helicoid's Newton path climbs before it converges: the second step's
+    # GMRES cycle misses its tolerance, and that step and the rest are direct
+    (lambda x, y: HELICOID.phi_jet(x, y).value, EUCLIDEAN, HELICOID.domain, 1)],
+    ids=["lorentzian-hyperbolic", "helicoid-falls-back"])
+def test_solves_gmres_does_not_fit_keep_the_all_direct_bits(monkeypatch, boundary, ambient, domain, attempts):
+    infos = gmres_calls(monkeypatch)
+    got = solve_minimal(boundary, ambient, grid=(65, 65), domain=domain)
+    assert len(infos) == attempts and all(infos)
+    all_direct(monkeypatch)
+    ref = solve_minimal(boundary, ambient, grid=(65, 65), domain=domain)
+    assert got.converged and len(got.residual_history) > 2
+    assert got.residual_history == ref.residual_history
+    assert_bits_equal(got.values, ref.values)
