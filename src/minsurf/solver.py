@@ -7,12 +7,14 @@ Solves the quasilinear equation
 
 on a rectangle with Dirichlet data: ``curvature.central_differences`` once
 per grid function, a sparse Jacobian weighted by that stencil's response to
-unit impulses and numbered in nested-dissection order, a direct sparse solve
-for the first Newton step and sine-transform-preconditioned GMRES for later
-ones, and Armijo backtracking; an iterate whose residual is at its rounding
-floor ends converged.  Solutions serialize to the plain-text ``minsurf v1``
-format and feed the verification pipeline through ``grid_jets``, the
-finite-difference jets at the nodes nearest to arrays of points.
+unit impulses and numbered in nested-dissection order, Newton steps by
+sine-transform-preconditioned GMRES on grids of at least
+``GMRES_MIN_UNKNOWNS`` interior nodes and by a direct sparse solve on
+smaller ones or once GMRES does not fit, and Armijo backtracking; an iterate
+whose residual is at its rounding floor ends converged.  Solutions serialize
+to the plain-text ``minsurf v1`` format and feed the verification pipeline
+through ``grid_jets``, the finite-difference jets at the nodes nearest to
+arrays of points.
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ MAX_HALVINGS = 20
 
 #: GMRES budget of a Newton step: one cycle of at most this many iterations
 GMRES_ITERATIONS = 30
+
+#: a solve on fewer interior nodes than this takes direct Newton steps only:
+#: below it a Scherk solve's direct steps were as fast as its GMRES steps or
+#: faster (a tie at 1 849, 45 x 45 nodes), above it slower (2 209, 49 x 49)
+GMRES_MIN_UNKNOWNS = 2209
 
 
 class NoConvergence(RuntimeError):
@@ -169,32 +176,62 @@ def _dissection(rows, cols):
     return order
 
 
-def _jacobian(d, coeffs, amb, hx, hy, rank):
-    """Sparse Jacobian of the interior residual, with the node at interior
-    index (i, j) numbered ``rank[i, j]`` in both rows and columns: each
-    offset's stencil weights are ``central_differences`` of a unit impulse there."""
+#: the stencil offsets (di, dj) of the Jacobian, in the order of ``_pattern``
+_OFFSETS = tuple((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _numbering(rows, cols):
+    """The nested-dissection ``order`` of a rows x cols interior grid, each
+    node's ``rank`` in it and the Jacobian's ``_pattern`` under that rank,
+    built once per grid shape and shared, read-only, between solves."""
+    order = _dissection(rows, cols)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    rank = rank.reshape(rows, cols)
+    pattern = _pattern(rank)
+    for a in (rank, *pattern):
+        a.flags.writeable = False
+    return order, rank, pattern
+
+
+def _pattern(rank):
+    """The CSR pattern of the Jacobian with the interior node (i, j) numbered
+    ``rank[i, j]`` in both rows and columns: for each stored entry, row by row
+    and in ascending columns, its flat index in the nine stacked stencil-offset
+    coefficient arrays of ``_jacobian``; then the CSR indices and indptr."""
+    mi, mj = rank.shape
+    n = rank.size
+    padded = np.pad(rank, 1, constant_values=-1)
+    rows, cols, source = [], [], []
+    for k, (di, dj) in enumerate(_OFFSETS):
+        neighbour = padded[1 + di:mi + 1 + di, 1 + dj:mj + 1 + dj]
+        interior = neighbour >= 0
+        rows.append(rank[interior])
+        cols.append(neighbour[interior])
+        source.append(k * n + np.flatnonzero(interior))
+    rows, cols, source = (np.concatenate(a) for a in (rows, cols, source))
+    entry = np.argsort(rows * n + cols)
+    index = np.int32 if source.size < 2 ** 31 else np.int64
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]).astype(index)
+    return source[entry], cols[entry].astype(index), indptr
+
+
+def _jacobian(d, coeffs, amb, hx, hy, pattern):
+    """Sparse Jacobian of the interior residual in CSR form with the fixed
+    ``pattern`` of ``_pattern``: each offset's stencil weights are
+    ``central_differences`` of a unit impulse there."""
     Ux, Uy, Uxx, Uyy, Uxy = d
     A, B, C = coeffs
-    mi, mj = rank.shape
-    padded = np.pad(rank, 1, constant_values=-1)
-
-    rows, cols, data = [], [], []
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            wx, wy, wxx, wyy, wxy = central_differences(lambda i, j: float((i, j) == (di, dj)), hx, hy)
-            coeff = (A * wxx + B * wxy + C * wyy
-                     + (2 * amb.eps * Uy * wy) * Uxx
-                     + (-2 * amb.eps * (Uy * wx + Ux * wy)) * Uxy
-                     + (2 * amb.eps * Ux * wx) * Uyy)
-            neighbour = padded[1 + di:mi + 1 + di, 1 + dj:mj + 1 + dj]
-            interior = neighbour >= 0
-            rows.append(rank[interior])
-            cols.append(neighbour[interior])
-            data.append(coeff[interior])
-    mat = sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mi * mj, mi * mj))
-    return mat.tocsr()
+    stacked = np.empty((len(_OFFSETS),) + A.shape)
+    for k, (di, dj) in enumerate(_OFFSETS):
+        wx, wy, wxx, wyy, wxy = central_differences(lambda i, j: float((i, j) == (di, dj)), hx, hy)
+        stacked[k] = (A * wxx + B * wxy + C * wyy
+                      + (2 * amb.eps * Uy * wy) * Uxx
+                      + (-2 * amb.eps * (Uy * wx + Ux * wy)) * Uxy
+                      + (2 * amb.eps * Ux * wx) * Uyy)
+    source, indices, indptr = pattern
+    return sparse.csr_matrix((stacked.ravel()[source], indices, indptr), shape=(A.size, A.size))
 
 
 def _sine_solver(a, c, hx, hy, order, rank):
@@ -238,7 +275,8 @@ def _gmres_step(J, F, order, rank, coeffs, hx, hy, floor):
 def _newton_step(J, F, order, rank, krylov=None):
     """The Newton step delta, J delta = -F at the interior nodes, J numbered
     by ``rank`` and ``order`` its inverse.  With ``krylov`` = (coeffs, hx, hy,
-    floor) it tries ``_gmres_step`` first; returns delta and whether GMRES gave it."""
+    floor) it tries ``_gmres_step`` first; without it, or after a miss, the
+    step is a direct sparse solve.  Returns delta and whether GMRES gave it."""
     if krylov is not None:
         delta = _gmres_step(J, F, order, rank, *krylov)
         if delta is not None:
@@ -263,9 +301,11 @@ def solve_minimal(boundary, ambient: AmbientMetric, grid=(65, 65),
     ``boundary(x, y)`` supplies Dirichlet values on the rectangle edge
     (vectorized).  Residual history records the interior max norm.  The
     iteration converges once that norm is below ``tol`` or at most the
-    operator's rounding floor on the current iterate.  The first Newton
-    step is a direct solve; later ones use GMRES until a step where it
-    misses or the equation is not elliptic, and from there on are direct.
+    operator's rounding floor on the current iterate.  On a grid of at
+    least ``GMRES_MIN_UNKNOWNS`` interior nodes every Newton step, the first
+    included, tries GMRES; a step where it misses or the equation is not
+    elliptic is direct, and so is every later step.  Smaller grids take
+    direct steps only.
     """
     nx, ny = grid
     _check_grid(nx, ny, domain)
@@ -282,12 +322,9 @@ def solve_minimal(boundary, ambient: AmbientMetric, grid=(65, 65),
 
     d, coeffs, F = _operator(U, ambient, hx, hy)
     _check_rho(d, ambient)
-    order = _dissection(*F.shape)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    rank = rank.reshape(F.shape)
+    order, rank, pattern = _numbering(*F.shape)
     history = [float(np.abs(F).max())]
-    try_gmres = False  # not on the first step, nor on any after a miss
+    try_gmres = F.size >= GMRES_MIN_UNKNOWNS  # and on no step after a direct one
     for it in range(max_iter + 1):
         floor = _rounding_floor(U, coeffs, hx, hy)
         if history[-1] < tol or history[-1] <= floor:
@@ -295,9 +332,8 @@ def solve_minimal(boundary, ambient: AmbientMetric, grid=(65, 65),
         if it == max_iter:
             sol.values, sol.residual_history = U, history
             raise NoConvergence(f"residual {history[-1]:.3e} after {max_iter} iterations", sol)
-        J = _jacobian(d, coeffs, ambient, hx, hy, rank)
+        J = _jacobian(d, coeffs, ambient, hx, hy, pattern)
         delta, try_gmres = _newton_step(J, F, order, rank, (coeffs, hx, hy, floor) if try_gmres else None)
-        try_gmres = try_gmres or it == 0
 
         # the sums of squares in units of max |F|, so that none overflows
         f0 = float(((F / history[-1]) ** 2).sum())

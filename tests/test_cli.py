@@ -417,8 +417,11 @@ def test_run_verification_large_node_raises_singular_metric(tmp_path):
     (["curvature", "--metric", "sphere:1e200", "--point", "1,0.5"], 2, "bad sphere radius in 'sphere:1e200'"),
     (["solve", "--boundary", "linear:1e160,0,0", "--grid", "9,9"], 1,
      "sparse solve failed: Matrix is exactly singular"),
+    (["solve", "--boundary", "linear:1e160,0,0", "--grid", "65,65"], 1,
+     "sparse solve failed: Matrix is exactly singular"),
     (["solve", "--boundary", "scherk", "--ambient", "1e154,1e154,0,1", "--grid", "65,65"], 0, None),
-], ids=["curvature-m1-200", "curvature-m1-1e300", "sphere-1e200", "solve-linear-1e160", "solve-ambient-1e154"])
+], ids=["curvature-m1-200", "curvature-m1-1e300", "sphere-1e200", "solve-linear-1e160", "solve-linear-1e160-65",
+     "solve-ambient-1e154"])
 def test_overflowing_input_one_line_no_warning(capsys, tmp_path, argv, code, message):
     """Every command computes under verify's floating-point policy: an
     overflow ends in the command's own one-line error, or in none, and never

@@ -294,7 +294,7 @@ def test_shared_stencil_keeps_residual_jacobian_and_floor_bits(shape, box):
         for U in fields:
             d, coeffs, F = solver._operator(U, amb, hx, hy)
             assert_bits_equal(F, reference_residual(U, amb, hx, hy))
-            J = solver._jacobian(d, coeffs, amb, hx, hy, row_major(F.shape))
+            J = solver._jacobian(d, coeffs, amb, hx, hy, solver._pattern(row_major(F.shape)))
             want = reference_jacobian(U, amb, hx, hy)
             for got, ref in ((J.data, want.data), (J.indices, want.indices), (J.indptr, want.indptr)):
                 assert_bits_equal(got, ref)
@@ -313,7 +313,7 @@ def test_jacobian_is_derivative_of_residual(amb):
     v = np.zeros(shape)
     v[1:-1, 1:-1] = rng.uniform(-1.0, 1.0, (shape[0] - 2, shape[1] - 2))
     d, coeffs, F = solver._operator(U, amb, hx, hy)
-    Jv = solver._jacobian(d, coeffs, amb, hx, hy, row_major(F.shape)) @ v[1:-1, 1:-1].ravel()
+    Jv = solver._jacobian(d, coeffs, amb, hx, hy, solver._pattern(row_major(F.shape))) @ v[1:-1, 1:-1].ravel()
     t = 1e-5
     quotient = (solver._operator(U + t * v, amb, hx, hy)[2]
                 - solver._operator(U - t * v, amb, hx, hy)[2]).ravel() / (2 * t)
@@ -457,8 +457,8 @@ def coons_scherk_jacobians(n):
     xs = np.linspace(-1.0, 1.0, n)
     U = solver._coons_patch(SCHERK, xs, xs)
     d, coeffs, F = solver._operator(U, EUCLIDEAN, h, h)
-    ranks = row_major(F.shape), np.argsort(solver._dissection(*F.shape)).reshape(F.shape)
-    return tuple(solver._jacobian(d, coeffs, EUCLIDEAN, h, h, rank) for rank in ranks)
+    patterns = solver._pattern(row_major(F.shape)), solver._numbering(*F.shape)[2]
+    return tuple(solver._jacobian(d, coeffs, EUCLIDEAN, h, h, pattern) for pattern in patterns)
 
 
 @pytest.mark.parametrize("n", [17, 34, 129, 257])
@@ -495,7 +495,7 @@ def test_newton_steps_keep_the_dissection_numbering(monkeypatch):
 CATENOID = surfaces.get("catenoid")
 
 
-#: solves whose Newton steps after the first are GMRES steps: (boundary, ambient, grid, domain)
+#: (boundary, ambient, grid, domain) of solves that converge in a few Newton steps
 ROUND_OFF_CASES = [
     pytest.param(SCHERK, EUCLIDEAN, (33, 33), (-1.0, 1.0, -1.0, 1.0), id="scherk33"),
     pytest.param(lambda x, y: CATENOID.phi_jet(x, y).value, EUCLIDEAN, (65, 65), CATENOID.domain,
@@ -508,8 +508,9 @@ ROUND_OFF_CASES = [
 @pytest.mark.parametrize("boundary, ambient, grid, domain", ROUND_OFF_CASES)
 def test_minimum_degree_solve_matches_colamd_within_round_off(monkeypatch, boundary, ambient, grid, domain):
     # the solve's nested-dissection numbering against SuperLU's default COLAMD
-    # ordering: an ordering only permutes the LU's eliminations, so the solution
-    # moves by round-off, 0.4 to 1.5 eps max|U| on these four cases, against a gate of 8
+    # ordering, every step direct: an ordering only permutes the LU's
+    # eliminations, so the solution moves by round-off, against a gate of 8 eps max|U|
+    all_direct(monkeypatch)
     got = solve_minimal(boundary, ambient, grid=grid, domain=domain)
     spsolve = solver.splinalg.spsolve
     monkeypatch.setattr(solver.splinalg, "spsolve",
@@ -522,7 +523,7 @@ def test_minimum_degree_solve_matches_colamd_within_round_off(monkeypatch, bound
 
 
 # ---------------------------------------------------------------------------
-# Newton steps after the first: sine-transform-preconditioned GMRES
+# Newton steps past the size crossover: sine-transform-preconditioned GMRES
 # ---------------------------------------------------------------------------
 
 def gmres_calls(monkeypatch):
@@ -538,22 +539,38 @@ def gmres_calls(monkeypatch):
     return infos
 
 
-@pytest.mark.parametrize("boundary, ambient, grid, domain", ROUND_OFF_CASES + [
+@pytest.mark.parametrize("boundary, ambient, grid, domain", [
+    pytest.param(SCHERK, EUCLIDEAN, (65, 65), (-1.0, 1.0, -1.0, 1.0), id="scherk65"),
+    *ROUND_OFF_CASES[1:],
     pytest.param(SCHERK, AmbientMetric(10.0, 1.0, 0.0, 1), (65, 65), (-1.0, 1.0, -1.0, 1.0), id="scherk65-k1-10"),
-    pytest.param(SCHERK, EUCLIDEAN, (65, 33), (-1.0, 1.0, -1.0, 1.0), id="scherk65x33")])
+    pytest.param(SCHERK, EUCLIDEAN, (129, 65), (-1.0, 1.0, -1.0, 1.0), id="scherk129x65")])
 def test_gmres_steps_match_the_all_direct_solve_within_round_off(monkeypatch, boundary, ambient, grid, domain):
-    # the first step is the same direct solve, so its residual keeps its bits;
-    # each later GMRES step stops within round-off of the direct step, and the
-    # solutions differ by 0.4 to 4.9 eps max|U| on these and at 257^2, against 8
+    # every step, the first from the Coons patch included, is a GMRES step
+    # that stops within round-off of the direct step, and the solutions differ
+    # by 0.6 to 5.0 eps max|U| on these and at 257^2, against 8
     infos = gmres_calls(monkeypatch)
     got = solve_minimal(boundary, ambient, grid=grid, domain=domain)
-    assert infos and not any(infos)  # every later step is a GMRES step that met its tolerance
     all_direct(monkeypatch)
     ref = solve_minimal(boundary, ambient, grid=grid, domain=domain)
     assert got.converged and ref.converged
-    assert len(got.residual_history) == len(ref.residual_history) == len(infos) + 2
-    assert got.residual_history[:2] == ref.residual_history[:2]
+    steps = len(ref.residual_history) - 1
+    assert len(got.residual_history) == steps + 1
+    assert len(infos) == steps and not any(infos)  # each step met its tolerance
+    assert got.residual_history[0] == ref.residual_history[0]
     assert np.abs(got.values - ref.values).max() <= 8 * np.finfo(float).eps * np.abs(ref.values).max()
+
+
+@pytest.mark.parametrize("grid", [(9, 9), (17, 17), (33, 33), (65, 33)], ids="{0[0]}x{0[1]}".format)
+def test_solves_below_the_crossover_are_all_direct(monkeypatch, grid):
+    # fewer than GMRES_MIN_UNKNOWNS interior nodes: no step runs a GMRES cycle
+    assert (grid[0] - 2) * (grid[1] - 2) < solver.GMRES_MIN_UNKNOWNS
+    infos = gmres_calls(monkeypatch)
+    got = solve_minimal(SCHERK, EUCLIDEAN, grid=grid)
+    assert infos == []
+    all_direct(monkeypatch)
+    ref = solve_minimal(SCHERK, EUCLIDEAN, grid=grid)
+    assert got.converged and got.residual_history == ref.residual_history
+    assert_bits_equal(got.values, ref.values)
 
 
 HELICOID = surfaces.get("helicoid")
@@ -562,7 +579,7 @@ HELICOID = surfaces.get("helicoid")
 @pytest.mark.parametrize("boundary, ambient, domain, attempts", [
     # a Lorentzian g0 gives A and C opposite signs: no step tries GMRES
     (lambda x, y: 0.2 * np.asarray(x) ** 2 + 0.1 * np.asarray(y) ** 3, LORENTZIAN, (-0.5, 0.5, -0.5, 0.5), 0),
-    # the helicoid's Newton path climbs before it converges: the second step's
+    # the helicoid's Newton path climbs before it converges: the first step's
     # GMRES cycle misses its tolerance, and that step and the rest are direct
     (lambda x, y: HELICOID.phi_jet(x, y).value, EUCLIDEAN, HELICOID.domain, 1)],
     ids=["lorentzian-hyperbolic", "helicoid-falls-back"])
